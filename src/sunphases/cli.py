@@ -14,7 +14,7 @@ import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases, report, verify
-from .generators import build_generators, commutation_residual
+from .generators import build_generators, commutation_residual, generator_matrix
 
 EXIT_VERIFY_FAILED = 1
 EXIT_RESIDUAL_BREACH = 3
@@ -132,8 +132,6 @@ def cmd_phases(
         bs.check_root(n, root_pair)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-    from .generators import generator_matrix
 
     cmat = generator_matrix(basis, *root_pair)
     if convention == "complementary":

@@ -13,41 +13,34 @@ the lexicographically decreasing occupation order for su(3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OrderedBasis, check_root, enumerate_basis, weight_of
-from .generators import _check_spin, su2_matrices
+from .basis import OrderedBasis, enumerate_basis
+from .generators import (
+    GeneratorSet,
+    SU2Matrices,
+    _check_spin,
+    _spin_matrices,
+    _weight_shift,
+    cartan_matrix,
+    commutation_residual,
+    su2_matrices,
+)
 from .phases import su2_shift_E
 
 
-@dataclass(frozen=True)
-class GammaSu2:
-    """Integer matrices of the coherent-state su(2) realization for spin j."""
-
-    j: float
-    h: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
+def _coherent_ladder(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
+    """C_ij with the bare occupation n_j as coefficient: z_i d/dz_j on monomials."""
+    return _weight_shift(basis, i, j, lambda ni, nj: nj)
 
 
-def gamma_su2(j: float) -> GammaSu2:
+def gamma_su2(j: float) -> SU2Matrices:
     """Realization with e_+|jm> -> (j-m)|j,m+1> and e_-|jm> -> (j+m)|j,m-1>."""
-    two_j = _check_spin(j)
-    dim = two_j + 1
-    # index p corresponds to m = j - p
-    h = np.diag(np.asarray([j - p for p in range(dim)], dtype=complex))
-    e_plus = np.zeros((dim, dim), dtype=complex)
-    e_minus = np.zeros((dim, dim), dtype=complex)
-    for p in range(1, dim):
-        e_plus[p - 1, p] = p  # j - m with m = j - p
-    for p in range(dim - 1):
-        e_minus[p + 1, p] = two_j - p  # j + m with m = j - p
-    return GammaSu2(j=j, h=h, e_plus=e_plus, e_minus=e_minus)
+    return _spin_matrices(j, _coherent_ladder)
 
 
-def nonhermiticity_witness(gamma: GammaSu2) -> float:
+def nonhermiticity_witness(gamma: SU2Matrices) -> float:
     """Max-abs difference between the raising matrix and the adjoint of the lowering one.
 
     Zero only in the trivial cases (j = 0 and j = 1/2, where the integer
@@ -109,7 +102,7 @@ def s_recursion_check(j: float) -> float:
     return worst
 
 
-def gamma_phase_part(gamma: GammaSu2) -> np.ndarray:
+def gamma_phase_part(gamma: SU2Matrices) -> np.ndarray:
     """Phase factor of the coherent-state lowering matrix, completed cyclically.
 
     Gamma(e_-) = E . D with D = sqrt(Gamma(e_-)^dag Gamma(e_-)) diagonal; the
@@ -131,37 +124,6 @@ def gamma_phase_part(gamma: GammaSu2) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class GammaSu3:
-    """Coherent-state matrices of all eight su(3) generators on (lam, 0)."""
-
-    lam: int
-    basis: OrderedBasis
-    h1: np.ndarray
-    h2: np.ndarray
-    ladders: dict[tuple[int, int], np.ndarray]
-
-
-def gamma_ladder(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
-    """Weight-shift matrix of the coherent-state ladder operator C_ij.
-
-    The matrix element is the bare occupation n_j of the annihilated mode (no
-    square root), the action of z_i d/dz_j on monomials.
-    """
-    check_root(basis.n, (i, j))
-    d = len(basis)
-    mat = np.zeros((d, d), dtype=complex)
-    for col, state in enumerate(basis.states):
-        nj = state[j - 1]
-        if nj == 0:
-            continue
-        target = list(state)
-        target[i - 1] += 1
-        target[j - 1] -= 1
-        mat[basis.index(tuple(target)), col] = nj
-    return mat
-
-
 def displayed_coefficient(lam: int, root: tuple[int, int], weight: tuple[int, int]) -> float:
     """Linear-in-weight ladder coefficients read off the differential realization.
 
@@ -176,7 +138,7 @@ def displayed_coefficient(lam: int, root: tuple[int, int], weight: tuple[int, in
     raise ValueError(f"no displayed coefficient for root {root}")
 
 
-def gamma_su3(lam: int) -> GammaSu3:
+def gamma_su3(lam: int) -> GeneratorSet:
     """Coherent-state realization of su(3) on the (lam, 0) occupation basis.
 
     The two displayed raising operators and their partner lowering operators
@@ -187,7 +149,7 @@ def gamma_su3(lam: int) -> GammaSu3:
         raise ValueError("lam must be non-negative")
     basis = enumerate_basis(3, lam)
     ladders = {
-        root: gamma_ladder(basis, *root)
+        root: _coherent_ladder(basis, *root)
         for root in [(1, 2), (2, 3), (2, 1), (3, 2)]
     }
     ladders[(1, 3)] = (
@@ -196,37 +158,13 @@ def gamma_su3(lam: int) -> GammaSu3:
     ladders[(3, 1)] = (
         ladders[(3, 2)] @ ladders[(2, 1)] - ladders[(2, 1)] @ ladders[(3, 2)]
     )
-    weights = [weight_of(s) for s in basis.states]
-    h1 = np.diag(np.asarray([w[0] for w in weights], dtype=complex))
-    h2 = np.diag(np.asarray([w[1] for w in weights], dtype=complex))
-    return GammaSu3(lam=lam, basis=basis, h1=h1, h2=h2, ladders=ladders)
+    cartans = (cartan_matrix(basis, 1), cartan_matrix(basis, 2))
+    return GeneratorSet(basis=basis, ladders=ladders, cartans=cartans)
 
 
-def gamma_su3_commutation_residual(gamma: GammaSu3) -> float:
-    """Max-abs defect of the u(3) relations for the coherent-state matrices."""
-    basis = gamma.basis
-    occ = {
-        i: np.diag(np.asarray([s[i - 1] for s in basis.states], dtype=complex))
-        for i in range(1, 4)
-    }
-
-    def op(i: int, j: int) -> np.ndarray:
-        return gamma.ladders[(i, j)] if i != j else occ[i]
-
-    residual = 0.0
-    roots = list(gamma.ladders)
-    for (i, j) in roots:
-        a = gamma.ladders[(i, j)]
-        for (k, l) in roots:
-            b = gamma.ladders[(k, l)]
-            expected = np.zeros_like(a)
-            if j == k:
-                expected = expected + op(i, l)
-            if i == l:
-                expected = expected - op(k, j)
-            defect = a @ b - b @ a - expected
-            residual = max(residual, float(np.max(np.abs(defect))))
-    return residual
+def gamma_su3_commutation_residual(gamma: GeneratorSet) -> float:
+    """Max-abs defect of the u(3) and Cartan relations for the coherent-state matrices."""
+    return commutation_residual(gamma)
 
 
 def dft_eigensystem(shift: np.ndarray) -> list[tuple[complex, np.ndarray]]:

@@ -7,21 +7,19 @@ epsilon.  Dense complex storage throughout; the dimensions in play are small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .basis import OrderedBasis, Root, check_root, root_components, weight_of
+from .basis import OrderedBasis, Root, check_root, enumerate_basis, root_components
 
 
-def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
-    """Matrix of C_ij = a_i^dag a_j on the ordered basis (i != j).
-
-    The element <s'|C_ij|s> is sqrt(n_j (n_i + 1)) for s' equal to s with one
-    boson moved from mode j to mode i, and zero otherwise.
-    """
-    if i == j:
-        raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
+def _weight_shift(
+    basis: OrderedBasis, i: int, j: int, coefficient: Callable[[int, int], float]
+) -> np.ndarray:
+    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j)."""
     check_root(basis.n, (i, j))
     d = len(basis)
     mat = np.zeros((d, d), dtype=complex)
@@ -32,9 +30,19 @@ def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
         target = list(state)
         target[i - 1] += 1
         target[j - 1] -= 1
-        row = basis.index(tuple(target))
-        mat[row, col] = np.sqrt(nj * (state[i - 1] + 1))
+        mat[basis.index(tuple(target)), col] = coefficient(state[i - 1], nj)
     return mat
+
+
+def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
+    """Matrix of C_ij = a_i^dag a_j on the ordered basis (i != j).
+
+    The element <s'|C_ij|s> is sqrt(n_j (n_i + 1)) for s' equal to s with one
+    boson moved from mode j to mode i, and zero otherwise.
+    """
+    if i == j:
+        raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
+    return _weight_shift(basis, i, j, lambda ni, nj: math.sqrt(nj * (ni + 1)))
 
 
 def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:
@@ -49,7 +57,7 @@ def cartan_matrix(basis: OrderedBasis, k: int) -> np.ndarray:
     """Diagonal matrix of h_k = C_kk - C_{k+1,k+1}, with 1 <= k <= n-1."""
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"Cartan index must lie in 1..{basis.n - 1}, got {k}")
-    diag = [weight_of(state)[k - 1] for state in basis.states]
+    diag = [state[k - 1] - state[k] for state in basis.states]
     return np.diag(np.asarray(diag, dtype=complex))
 
 
@@ -85,9 +93,10 @@ def commutation_residual(gens: GeneratorSet) -> float:
     """
     basis = gens.basis
     n = basis.n
+    occupations = {i: number_matrix(basis, i) for i in range(1, n + 1)}
 
     def op(i: int, j: int) -> np.ndarray:
-        return gens.ladders[(i, j)] if i != j else number_matrix(basis, i)
+        return gens.ladders[(i, j)] if i != j else occupations[i]
 
     residual = 0.0
     pairs = list(gens.ladders)
@@ -95,9 +104,9 @@ def commutation_residual(gens: GeneratorSet) -> float:
         a = gens.ladders[(i, j)]
         for (k, l) in pairs:
             b = gens.ladders[(k, l)]
-            expected = np.zeros_like(a)
+            expected = 0.0
             if j == k:
-                expected = expected + op(i, l)
+                expected = op(i, l)
             if i == l:
                 expected = expected - op(k, j)
             defect = a @ b - b @ a - expected
@@ -111,7 +120,7 @@ def commutation_residual(gens: GeneratorSet) -> float:
 
 @dataclass(frozen=True)
 class SU2Matrices:
-    """Standard Hermitian spin-j matrices, basis ordered m = j, j-1, ..., -j."""
+    """Spin-j matrices (Hermitian or coherent-state), basis ordered m = j, ..., -j."""
 
     j: float
     h: np.ndarray
@@ -127,14 +136,17 @@ def _check_spin(j: float) -> int:
     return two_j
 
 
+def _spin_matrices(j: float, ladder: Callable[..., np.ndarray]) -> SU2Matrices:
+    """Spin-j matrices as the two-mode irrep lambda = 2j: e_+ = C_12, e_- = C_21, h = h_1 / 2."""
+    basis = enumerate_basis(2, _check_spin(j))
+    return SU2Matrices(
+        j=j,
+        h=cartan_matrix(basis, 1) / 2,
+        e_plus=ladder(basis, 1, 2),
+        e_minus=ladder(basis, 2, 1),
+    )
+
+
 def su2_matrices(j: float) -> SU2Matrices:
     """Spin-j matrices with e_+|jm> = sqrt((j-m)(j+m+1)) |j,m+1>, h|jm> = m|jm>."""
-    two_j = _check_spin(j)
-    dim = two_j + 1
-    # index p corresponds to m = j - p
-    h = np.diag(np.asarray([j - p for p in range(dim)], dtype=complex))
-    e_plus = np.zeros((dim, dim), dtype=complex)
-    for p in range(1, dim):
-        m = j - p
-        e_plus[p - 1, p] = np.sqrt((j - m) * (j + m + 1))
-    return SU2Matrices(j=j, h=h, e_plus=e_plus, e_minus=e_plus.conj().T)
+    return _spin_matrices(j, generator_matrix)

@@ -30,7 +30,7 @@ from .basis import (
     kernel_states,
     su2_strings,
 )
-from .generators import _check_spin, generator_matrix
+from .generators import _check_spin, cartan_matrix, generator_matrix
 
 #: Completion conventions: wrap phase of each cyclic string.
 CONVENTION_PLUS = "su2-invariant-plus"
@@ -154,14 +154,10 @@ def su2_shift_E(j: float) -> np.ndarray:
 
     Ones on the subdiagonal and in the top-right corner (basis ordered
     m = j, ..., -j); its (2j+1)-th power is the identity and its eigenvalues
-    are the (2j+1)-th roots of unity.
+    are the (2j+1)-th roots of unity.  It is the plus completion of C_21 on
+    the two-mode irrep lambda = 2j, whose single su(2) string is the whole basis.
     """
-    dim = _check_spin(j) + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    for p in range(1, dim):
-        mat[p, p - 1] = 1.0
-    mat[0, dim - 1] = 1.0
-    return mat
+    return su2_invariant_completion(enumerate_basis(2, _check_spin(j)), (2, 1))
 
 
 def unitarity_residual(mat: np.ndarray) -> float:
@@ -174,13 +170,16 @@ def phase_hermitian(unitary: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
     Eigenphases are taken in (-pi, pi].  The Schur route diagonalizes the
     normal input unitarily, so degenerate eigenvalues need no special care.
-    Rejects non-unitary input: complete the polar factor first.
+    Schur may return the angle -pi for an eigenvalue -1, depending on
+    rounding; angles within 1e-9 of -pi are snapped to +pi.  Rejects
+    non-unitary input: complete the polar factor first.
     """
     unitary = np.asarray(unitary, dtype=complex)
     if unitarity_residual(unitary) > tol:
         raise ValueError("input is not unitary; polar completion required first")
     tmat, zmat = scipy.linalg.schur(unitary, output="complex")
     angles = np.angle(np.diag(tmat))
+    angles[angles <= -np.pi + 1e-9] = np.pi
     phi = (zmat * angles) @ zmat.conj().T
     phi = 0.5 * (phi + phi.conj().T)
     rebuilt = (zmat * np.exp(1j * angles)) @ zmat.conj().T
@@ -197,8 +196,6 @@ def d_identity_residual(lam: int) -> float:
     occupation polynomial n_j(n_i + 1), so each difference telescopes to a
     population difference.)
     """
-    from .generators import cartan_matrix
-
     basis = enumerate_basis(3, lam)
     h1 = cartan_matrix(basis, 1)
     h2 = cartan_matrix(basis, 2)
@@ -223,10 +220,8 @@ def group_commutator(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _fixed_point_count(u: np.ndarray, tol: float = 1e-9) -> int:
-    eye = np.eye(u.shape[0])
-    return sum(
-        1 for k in range(u.shape[0]) if np.max(np.abs(u[:, k] - eye[:, k])) < tol
-    )
+    defect = np.max(np.abs(u - np.eye(u.shape[0])), axis=0)
+    return int(np.count_nonzero(defect < tol))
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,7 @@ def noncommutativity_norm(
     ea = su2_invariant_completion(basis, root_a, convention)
     eb = su2_invariant_completion(basis, root_b, convention)
     u, m = group_commutator(ea, eb)
-    raw = float(np.real(np.trace(m.conj().T @ m)))
+    raw = float(np.vdot(m, m).real)
     d = len(basis)
     return NoncommutativityReport(
         n=n,
@@ -334,7 +329,8 @@ def decay_fit(
     """Least-squares slope of log(normalized norm) against log(lam).
 
     Accepts reports or bare (lam, value) pairs; needs at least four points
-    with distinct lam >= 2.
+    with distinct lam >= 2, all with a positive norm (a commuting pair has
+    none to fit).
     """
     points = []
     for item in reports:
@@ -346,6 +342,8 @@ def decay_fit(
     points = [(lam, value) for lam, value in points if lam >= 2]
     if len({lam for lam, _ in points}) < 4:
         raise ValueError("decay fit needs at least four distinct lam >= 2")
+    if any(value <= 0 for _, value in points):
+        raise ValueError("decay fit needs positive norms; the pair commutes somewhere")
     xs = np.log([lam for lam, _ in points])
     ys = np.log([value for _, value in points])
     slope, _ = np.polyfit(xs, ys, 1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases
-from .generators import build_generators, su2_matrices
+from .generators import build_generators, commutation_residual, generator_matrix
 
 SUITES = ("all", "su2", "su3", "su4", "pauli", "gamma")
 
@@ -31,19 +31,13 @@ class Check:
         return self.residual < self.tolerance
 
 
-def _su2_commutation_residual(j: float) -> float:
-    m = su2_matrices(j)
-    r1 = np.max(np.abs(m.h @ m.e_plus - m.e_plus @ m.h - m.e_plus))
-    r2 = np.max(np.abs(m.h @ m.e_minus - m.e_minus @ m.h + m.e_minus))
-    r3 = np.max(
-        np.abs(m.e_plus @ m.e_minus - m.e_minus @ m.e_plus - 2.0 * m.h)
-    )
-    return float(max(r1, r2, r3))
-
-
 def suite_su2() -> list[Check]:
     checks = []
-    worst = max(_su2_commutation_residual(j / 2.0) for j in range(0, 31))
+    # spin j is the two-mode irrep lambda = 2j, with [C_12, C_21] = h_1 = 2h
+    worst = max(
+        commutation_residual(build_generators(bs.enumerate_basis(2, two_j)))
+        for two_j in range(0, 31)
+    )
     checks.append(Check("su2", "spin commutation relations, j <= 15", worst, 1e-13))
 
     shift_defect = 0.0
@@ -79,8 +73,6 @@ def suite_su2() -> list[Check]:
 
 def suite_su3() -> list[Check]:
     checks = []
-    from .generators import commutation_residual
-
     worst = max(
         commutation_residual(build_generators(bs.enumerate_basis(3, lam)))
         for lam in range(0, 7)
@@ -106,8 +98,6 @@ def suite_su3() -> list[Check]:
         for root in [(1, 2), (2, 3), (1, 3), (2, 1), (3, 2), (3, 1)]:
             for convention in ("plus", "paper-sign"):
                 factors = phases.polar_decompose(basis, root, convention)
-                from .generators import generator_matrix
-
                 c = generator_matrix(basis, *root)
                 worst = max(
                     worst,
@@ -122,8 +112,6 @@ def suite_su3() -> list[Check]:
 
 def suite_su4() -> list[Check]:
     checks = []
-    from .generators import commutation_residual
-
     worst = max(
         commutation_residual(build_generators(bs.enumerate_basis(4, lam)))
         for lam in range(0, 5)

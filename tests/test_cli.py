@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -164,6 +165,22 @@ class TestSweep:
         serial = payload(runner.invoke(main, args + ["--threads", "1"]))
         parallel = payload(runner.invoke(main, args + ["--threads", "4"]))
         assert serial == parallel
+
+    def test_commuting_pair_has_null_decay_exponent(self, runner):
+        # E_21 is the inverse of E_12: every norm is zero and there is no slope
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(
+                main, ["sweep", "--n", "3", "--from", "1", "--to", "6",
+                       "--root", "1,2", "--root", "2,1"]
+            )
+        assert result.exit_code == 0, result.exception
+        data = json.loads(result.output, parse_constant=reject)
+        assert data["results"]["decay_exponent"] is None
+        assert all(row["raw_norm"] == 0.0 for row in data["results"]["rows"])
 
 
 class TestPauli:

@@ -122,7 +122,7 @@ class TestPhasePart:
 class TestGammaSu3:
     def test_h1_fundamental(self):
         g = coherent.gamma_su3(1)
-        assert np.array_equal(np.real(np.diag(g.h1)), [1, -1, 0])
+        assert np.array_equal(np.real(np.diag(g.cartans[0])), [1, -1, 0])
 
     def test_displayed_coefficients_match_occupations(self):
         # the differential-operator coefficients reduce to mode occupations

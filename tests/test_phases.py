@@ -154,6 +154,18 @@ class TestPhaseHermitian:
         assert np.max(np.abs(phi - phi.conj().T)) < 1e-13
         assert np.max(np.abs(scipy.linalg.expm(1j * phi) - e)) < 1e-10
 
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign"])
+    @pytest.mark.parametrize("root", [(1, 2), (2, 3), (1, 3), (2, 1), (3, 2), (3, 1)])
+    def test_eigenphases_in_principal_branch(self, root, convention):
+        # even strings (plus) and odd strings (paper-sign) give the eigenvalue -1,
+        # whose phase is +pi
+        import scipy.linalg
+
+        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 6), root, convention)
+        phi = phases.phase_hermitian(e)
+        assert np.linalg.eigvalsh(phi).min() > -math.pi + 1e-9
+        assert np.max(np.abs(scipy.linalg.expm(1j * phi) - e)) < 1e-10
+
     def test_rejects_partial_isometry(self):
         c = generator_matrix(bs.enumerate_basis(3, 1), 1, 2)
         with pytest.raises(ValueError, match="polar completion"):
