@@ -36,7 +36,14 @@ SIMPLE_ROOTS_SU3: tuple[tuple[float, float], ...] = (
 
 
 def dimension(n: int, lam: int) -> int:
-    """Number of n-mode boson states with total occupation lam."""
+    """Number of n-mode boson states with total occupation lam.
+
+    Raises ValueError for n < 2 or negative lam.
+    """
+    if n < 2:
+        raise ValueError(f"need at least two modes, got n={n}")
+    if lam < 0:
+        raise ValueError(f"total occupation must be non-negative, got {lam}")
     return math.comb(lam + n - 1, n - 1)
 
 
@@ -74,20 +81,13 @@ class OrderedBasis:
         """Position of a state in the canonical order."""
         return self._index[tuple(state)]  # type: ignore[attr-defined]
 
-    def __contains__(self, state: Occupations) -> bool:
-        return tuple(state) in self._index  # type: ignore[attr-defined]
-
 
 def enumerate_basis(n: int, lam: int) -> OrderedBasis:
     """Enumerate the occupation basis of (lam, 0, ..., 0) for n boson modes.
 
     Raises ValueError for n < 2 or negative lam.
     """
-    if n < 2:
-        raise ValueError(f"need at least two modes, got n={n}")
-    if lam < 0:
-        raise ValueError(f"total occupation must be non-negative, got {lam}")
-
+    d = dimension(n, lam)
     states: list[Occupations] = []
 
     def fill(prefix: list[int], remaining: int, slots: int) -> None:
@@ -98,7 +98,7 @@ def enumerate_basis(n: int, lam: int) -> OrderedBasis:
             fill(prefix + [head], remaining - head, slots - 1)
 
     fill([], lam, n)
-    assert len(states) == dimension(n, lam)
+    assert len(states) == d
     return OrderedBasis(n=n, lam=lam, states=tuple(states))
 
 

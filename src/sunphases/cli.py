@@ -1,23 +1,30 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-residual breach (an implementation bug, not bad input).
+residual breach of `gens` or `phases` (an implementation bug, not bad input).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import sys
 from pathlib import Path
+from typing import Any
 
 import click
 import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases, report, verify
+from .generators import _check_spin
 from .generators import build_generators, commutation_residual, generator_matrix
 
 EXIT_VERIFY_FAILED = 1
 EXIT_RESIDUAL_BREACH = 3
+
+#: The one complementary root each angle option parametrizes.
+_ANGLE_ROOTS = {"beta": (1, 2), "gamma": (2, 3)}
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -25,6 +32,39 @@ def _emit(text: str, out: Path | None) -> None:
         click.echo(text, nl=False)
     else:
         out.write_text(text)
+
+
+def _emit_report(
+    command: str,
+    parameters: dict[str, Any],
+    results: dict[str, Any],
+    out: Path | None,
+    residuals: dict[str, float] | None = None,
+    matrices: dict[str, np.ndarray] | None = None,
+) -> None:
+    """Envelope the values, spill matrices too large to inline, emit the JSON."""
+    env = report.envelope(command, parameters, results, residuals)
+    report.spill_large_matrices(env, matrices or {}, out)
+    _emit(report.dumps(env), out)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_unfit(n: int, lam: int) -> None:
+    """Usage error when two d x d complex matrices of the irrep exceed physical memory.
+
+    Every matrix command holds at least two at once, so a refused irrep could
+    never finish; the check runs before anything is enumerated.
+    """
+    d = bs.dimension(n, lam)
+    if 32 * d * d > _physical_memory():
+        raise click.UsageError(
+            f"n={n}, lambda={lam} has dimension {d}: two {d}x{d} complex matrices "
+            f"({32 * d * d / 2**30:.2f} GiB) exceed physical memory"
+        )
 
 
 def _parse_root(value: str) -> tuple[int, int]:
@@ -52,30 +92,15 @@ def cmd_basis(n: int, lam: int, fmt: str, out: Path | None) -> None:
     except ValueError as exc:
         raise click.UsageError(str(exc))
     rows = [
-        {
-            "index": k,
-            "occupations": list(state),
-            "weight": list(bs.weight_of(state)),
-        }
+        {"index": k, "occupations": state, "weight": bs.weight_of(state)}
         for k, state in enumerate(basis.states)
     ]
     if fmt == "csv":
-        flat = [
-            {
-                "index": row["index"],
-                "occupations": " ".join(map(str, row["occupations"])),
-                "weight": " ".join(map(str, row["weight"])),
-            }
-            for row in rows
-        ]
-        _emit(report.sweep_csv(flat), out)
+        _emit(report.sweep_csv(rows), out)
         return
-    env = report.envelope(
-        "basis",
-        {"n": n, "lambda": lam},
-        {"dimension": len(basis), "states": rows},
+    _emit_report(
+        "basis", {"n": n, "lambda": lam}, {"dimension": len(basis), "states": rows}, out
     )
-    _emit(report.dumps(env), out)
 
 
 @main.command("gens")
@@ -85,22 +110,18 @@ def cmd_basis(n: int, lam: int, fmt: str, out: Path | None) -> None:
 def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     """Emit ladder and Cartan matrices plus the commutation residual."""
     try:
+        _refuse_unfit(n, lam)
         basis = bs.enumerate_basis(n, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     gens = build_generators(basis)
-    residual = commutation_residual(gens)
-    env = report.envelope(
-        "gens",
-        {"n": n, "lambda": lam},
-        {"dimension": len(basis)},
-        {"commutation": residual},
-    )
+    residuals = {"commutation": commutation_residual(gens)}
     matrices = {f"C_{i}{j}": mat for (i, j), mat in sorted(gens.ladders.items())}
     matrices.update({f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)})
-    report.spill_large_matrices(env, matrices, out)
-    _emit(report.dumps(env), out)
-    if residual > 1e-10:
+    _emit_report(
+        "gens", {"n": n, "lambda": lam}, {"dimension": len(basis)}, out, residuals, matrices
+    )
+    if max(residuals.values()) > 1e-10:
         sys.exit(EXIT_RESIDUAL_BREACH)
 
 
@@ -127,7 +148,14 @@ def cmd_phases(
 ) -> None:
     """Emit E, D and the Hermitian phase matrix for one ladder operator."""
     root_pair = _parse_root(root)
+    for flag, value in (("beta", beta), ("gamma", gamma)):
+        i, j = _ANGLE_ROOTS[flag]
+        if value is not None and (convention, root_pair) != ("complementary", (i, j)):
+            raise click.UsageError(
+                f"--{flag} applies only to --convention complementary --root {i},{j}"
+            )
     try:
+        _refuse_unfit(n, lam)
         basis = bs.enumerate_basis(n, lam)
         bs.check_root(n, root_pair)
     except ValueError as exc:
@@ -156,22 +184,21 @@ def cmd_phases(
         "unitarity": phases.unitarity_residual(emat),
         "polar_identity": float(np.max(np.abs(emat @ dmat - cmat))),
     }
-    env = report.envelope(
+    _emit_report(
         "phases",
         {
             "n": n,
             "lambda": lam,
-            "root": list(root_pair),
+            "root": root_pair,
             "convention": convention,
             "beta": beta,
             "gamma": gamma,
         },
         {"dimension": len(basis)},
+        out,
         residuals,
+        {"E": emat, "D": dmat, "phi": phases.phase_hermitian(emat)},
     )
-    matrices = {"E": emat, "D": dmat, "phi": phases.phase_hermitian(emat)}
-    report.spill_large_matrices(env, matrices, out)
-    _emit(report.dumps(env), out)
     if max(residuals.values()) > 1e-10:
         sys.exit(EXIT_RESIDUAL_BREACH)
 
@@ -185,7 +212,7 @@ def cmd_phases(
     "--convention", type=click.Choice(["plus", "paper-sign"]), default="plus"
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1)
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def cmd_sweep(
     n: int,
@@ -206,6 +233,7 @@ def cmd_sweep(
     try:
         bs.check_root(n, root_a)
         bs.check_root(n, root_b)
+        _refuse_unfit(n, lam_max)
         rows = phases.sweep(
             n, lam_min, lam_max, root_a, root_b, convention, threads=threads
         )
@@ -234,18 +262,18 @@ def cmd_sweep(
     if fmt == "csv":
         _emit(report.sweep_csv(table), out)
         return
-    env = report.envelope(
+    _emit_report(
         "sweep",
         {
             "n": n,
             "from": lam_min,
             "to": lam_max,
-            "roots": [list(root_a), list(root_b)],
+            "roots": [root_a, root_b],
             "convention": convention,
         },
         {"rows": table, "decay_exponent": slope},
+        out,
     )
-    _emit(report.dumps(env), out)
 
 
 @main.command("pauli")
@@ -253,25 +281,14 @@ def cmd_sweep(
 def cmd_pauli(out: Path | None) -> None:
     """Emit the generalized Pauli pair and the additive complementary solutions."""
     pair = pauli.pauli_generators(3)
-    solutions = [
-        {
-            "beta": sol.beta,
-            "gamma": sol.gamma,
-            "simplest_nontrivial": sol.simplest_nontrivial,
-        }
-        for sol in pauli.additivity_solve()
-    ]
-    env = report.envelope(
+    solutions = [dataclasses.asdict(sol) for sol in pauli.additivity_solve()]
+    _emit_report(
         "pauli",
         {"d": 3},
-        {
-            "X": report.matrix_payload(pair.x),
-            "Z": report.matrix_payload(pair.z),
-            "additive_solutions": solutions,
-        },
+        {"X": pair.x, "Z": pair.z, "additive_solutions": solutions},
+        out,
         {"exchange_relations": pauli.pauli_relation_residual(pair)},
     )
-    _emit(report.dumps(env), out)
 
 
 @main.command("gamma")
@@ -284,18 +301,18 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         raise click.UsageError("give exactly one of --j or --lambda")
     if spin is not None:
         try:
+            _refuse_unfit(2, _check_spin(spin))
             g = coherent.gamma_su2(spin)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise click.UsageError(str(exc))
-        env = report.envelope(
+        _emit_report(
             "gamma",
             {"j": spin},
             {
                 "witness": coherent.nonhermiticity_witness(g),
-                "intertwiner_diagonal": [
-                    float(v.real) for v in np.diag(coherent.intertwiner(spin))
-                ],
+                "intertwiner_diagonal": np.diag(coherent.intertwiner(spin)).real.tolist(),
             },
+            out,
             {
                 "hermitize": coherent.hermitize_check(spin),
                 "recursion": coherent.s_recursion_check(spin),
@@ -308,16 +325,17 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         )
     else:
         try:
+            _refuse_unfit(3, lam)
             g3 = coherent.gamma_su3(lam)
         except ValueError as exc:
             raise click.UsageError(str(exc))
-        env = report.envelope(
+        _emit_report(
             "gamma",
             {"lambda": lam},
             {"dimension": len(g3.basis)},
+            out,
             {"commutation": coherent.gamma_su3_commutation_residual(g3)},
         )
-    _emit(report.dumps(env), out)
 
 
 @main.command("verify")

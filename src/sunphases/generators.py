@@ -69,9 +69,6 @@ class GeneratorSet:
     ladders: dict[Root, np.ndarray]
     cartans: tuple[np.ndarray, ...]
 
-    def ladder(self, i: int, j: int) -> np.ndarray:
-        return self.ladders[(i, j)]
-
 
 def build_generators(basis: OrderedBasis) -> GeneratorSet:
     """Construct the full generator set for the basis."""

@@ -91,14 +91,13 @@ def complementary_E23(gamma: float) -> np.ndarray:
     )
 
 
-def complementarity_check(e: np.ndarray, z: np.ndarray | None = None) -> float:
+def complementarity_check(e: np.ndarray) -> float:
     """Residual of the complementarity relation Z E = w^2 E Z.
 
-    Z defaults to the exponentiated population-difference clock diag(w, w^2, 1).
+    Z is the exponentiated population-difference clock diag(w, w^2, 1).
     """
     e = np.asarray(e, dtype=complex)
-    if z is None:
-        z = pauli_generators(3).z
+    z = pauli_generators(3).z
     if e.shape != z.shape:
         raise ValueError(f"dimension mismatch: {e.shape} vs {z.shape}")
     w = omega(e.shape[0])

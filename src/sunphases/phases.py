@@ -32,56 +32,42 @@ from .basis import (
 )
 from .generators import _check_spin, cartan_matrix, generator_matrix
 
-#: Completion conventions: wrap phase of each cyclic string.
-CONVENTION_PLUS = "su2-invariant-plus"
-CONVENTION_PAPER_SIGN = "su2-invariant-paper-sign"
-CONVENTION_RAW = "raw-partial"
+#: Unitary completion conventions: wrap phase of each cyclic string.
+_WRAP_PHASE = {"plus": 1.0, "paper-sign": -1.0}
 
-_WRAP_PHASE = {CONVENTION_PLUS: 1.0, CONVENTION_PAPER_SIGN: -1.0}
-
-_ALIASES = {
-    "plus": CONVENTION_PLUS,
-    "paper-sign": CONVENTION_PAPER_SIGN,
-    "raw": CONVENTION_RAW,
-}
+_KERNEL_REL_THRESHOLD = 1e-10
+_UNITARITY_TOL = 1e-10
 
 
-def canonical_convention(name: str) -> str:
-    full = _ALIASES.get(name, name)
-    if full not in (CONVENTION_PLUS, CONVENTION_PAPER_SIGN, CONVENTION_RAW):
-        raise ValueError(f"unknown completion convention {name!r}")
-    return full
-
-
-def positive_factor(mat: np.ndarray, rel_threshold: float = 1e-10) -> np.ndarray:
+def positive_factor(mat: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of C^dag C, via eigendecomposition.
 
-    Eigenvalues of C^dag C below rel_threshold times max(top eigenvalue, 1)
-    are treated as exact zeros.
+    Eigenvalues of C^dag C below _KERNEL_REL_THRESHOLD times
+    max(top eigenvalue, 1) are treated as exact zeros.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"positive factor needs a square matrix, got {mat.shape}")
     gram = mat.conj().T @ mat
     evals, evecs = np.linalg.eigh(gram)
-    floor = rel_threshold * max(float(evals[-1]), 1.0)
+    floor = _KERNEL_REL_THRESHOLD * max(float(evals[-1]), 1.0)
     roots = np.where(evals > floor, np.sqrt(np.clip(evals, 0.0, None)), 0.0)
     return (evecs * roots) @ evecs.conj().T
 
 
 def su2_invariant_completion(
-    basis: OrderedBasis, root: Root, convention: str = CONVENTION_PLUS
+    basis: OrderedBasis, root: Root, convention: str = "plus"
 ) -> np.ndarray:
     """Unitary completion of the phase part of C_ij by cyclic su(2) strings.
 
     On every string (ordered by increasing n_i) the matrix acts as the
     successor map of C_ij; the wrap entry from the top of the string back to
     the bottom carries phase +1 ("plus") or -1 ("paper-sign").  Singleton
-    strings get the identity.
+    strings get the identity.  Any other convention, "raw" included, raises
+    ValueError.
     """
-    convention = canonical_convention(convention)
-    if convention == CONVENTION_RAW:
-        raise ValueError("raw-partial is not a unitary completion")
+    if convention not in _WRAP_PHASE:
+        raise ValueError(f"{convention!r} is not one of {tuple(_WRAP_PHASE)}")
     wrap = _WRAP_PHASE[convention]
     root = check_root(basis.n, root)
     d = len(basis)
@@ -112,15 +98,14 @@ class PolarFactors:
 
 
 def polar_decompose(
-    basis: OrderedBasis, root: Root, convention: str = CONVENTION_PLUS
+    basis: OrderedBasis, root: Root, convention: str = "plus"
 ) -> PolarFactors:
     """Polar-decompose C_ij on the basis with the requested completion.
 
     The undetermined columns of the partial isometry must coincide with the
     kernel states of the root; a mismatch signals an internal inconsistency
-    and raises.
+    and raises.  The convention is "plus", "paper-sign" or "raw".
     """
-    convention = canonical_convention(convention)
     root = check_root(basis.n, root)
     cmat = generator_matrix(basis, *root)
     dmat = positive_factor(cmat)
@@ -135,7 +120,7 @@ def polar_decompose(
             f"edge states {sorted(kernel)} for root {root}"
         )
 
-    if convention == CONVENTION_RAW:
+    if convention == "raw":
         diag = np.real(np.diag(dmat)).copy()
         inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         emat = cmat * inv[np.newaxis, :]
@@ -165,7 +150,7 @@ def unitarity_residual(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat.conj().T @ mat - eye)))
 
 
-def phase_hermitian(unitary: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def phase_hermitian(unitary: np.ndarray) -> np.ndarray:
     """Hermitian phase matrix phi with exp(i phi) equal to the given unitary.
 
     Eigenphases are taken in (-pi, pi].  The Schur route diagonalizes the
@@ -175,7 +160,7 @@ def phase_hermitian(unitary: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     non-unitary input: complete the polar factor first.
     """
     unitary = np.asarray(unitary, dtype=complex)
-    if unitarity_residual(unitary) > tol:
+    if unitarity_residual(unitary) > _UNITARITY_TOL:
         raise ValueError("input is not unitary; polar completion required first")
     tmat, zmat = scipy.linalg.schur(unitary, output="complex")
     angles = np.angle(np.diag(tmat))
@@ -274,10 +259,9 @@ def noncommutativity_norm(
     lam: int,
     root_a: Root = (1, 2),
     root_b: Root = (3, 1),
-    convention: str = CONVENTION_PLUS,
+    convention: str = "plus",
 ) -> NoncommutativityReport:
     """Build both phase operators and quantify their failure to commute."""
-    convention = canonical_convention(convention)
     basis = enumerate_basis(n, lam)
     ea = su2_invariant_completion(basis, root_a, convention)
     eb = su2_invariant_completion(basis, root_b, convention)
@@ -302,13 +286,13 @@ def sweep(
     lam_max: int,
     root_a: Root = (1, 2),
     root_b: Root = (3, 1),
-    convention: str = CONVENTION_PLUS,
+    convention: str = "plus",
     threads: int = 1,
 ) -> list[NoncommutativityReport]:
     """Non-commutativity reports for lam = lam_min..lam_max, ascending.
 
-    The per-lam computations are independent; with threads > 1 they run
-    concurrently but the output order is by ascending lam regardless.
+    The per-lam computations are independent and run on a pool of `threads`
+    workers (at least one); the output order is by ascending lam regardless.
     """
     if lam_min > lam_max:
         raise ValueError(f"empty sweep range {lam_min}..{lam_max}")
@@ -317,8 +301,6 @@ def sweep(
     def one(lam: int) -> NoncommutativityReport:
         return noncommutativity_norm(n, lam, root_a, root_b, convention)
 
-    if threads <= 1:
-        return [one(lam) for lam in lams]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, lams))
 

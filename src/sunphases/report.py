@@ -1,5 +1,7 @@
 """Machine-readable report envelopes for the CLI.
 
+This module alone knows the payload format: commands hand over plain Python
+values and numpy arrays, and it converts, spills and serializes them.
 Payloads are deterministic: keys sorted, complex entries as [re, im] pairs,
 floats serialized by repr (lossless round-trip), no locale formatting.  The
 timestamp is the only field allowed to differ between identical runs.
@@ -25,28 +27,21 @@ INLINE_DIM_LIMIT = 400
 
 def matrix_payload(mat: np.ndarray) -> list[list[list[float]]]:
     """Dense complex matrix as nested [re, im] pairs."""
-    mat = np.asarray(mat, dtype=complex)
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in mat
-    ]
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return mat.view(float).reshape(*mat.shape, 2).tolist()
 
 
-def _jsonable(value: Any) -> Any:
+def _default(value: Any) -> Any:
+    """json.dumps hook for the payload types json does not know."""
     if isinstance(value, np.ndarray):
         return matrix_payload(value)
     if isinstance(value, Fraction):
         return {"numerator": value.numerator, "denominator": value.denominator}
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def envelope(
@@ -57,9 +52,9 @@ def envelope(
 ) -> dict[str, Any]:
     return {
         "command": command,
-        "parameters": _jsonable(parameters),
-        "results": _jsonable(results),
-        "residuals": _jsonable(residuals or {}),
+        "parameters": parameters,
+        "results": results,
+        "residuals": residuals or {},
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -83,15 +78,25 @@ def spill_large_matrices(
 
 
 def dumps(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=_default) + "\n"
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(str, value))
+    return str(value)
 
 
 def sweep_csv(rows: list[dict[str, Any]]) -> str:
-    """Plot-ready CSV for sweep tables; header then one row per lam."""
+    """Plot-ready CSV for sweep and basis tables; header then one line per row."""
     if not rows:
         return ""
     fields = list(rows[0])
     lines = [",".join(fields)]
     for row in rows:
-        lines.append(",".join("" if row[f] is None else repr(row[f]) if isinstance(row[f], float) else str(row[f]) for f in fields))
+        lines.append(",".join(_csv_cell(row[f]) for f in fields))
     return "\n".join(lines) + "\n"

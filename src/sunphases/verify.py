@@ -16,8 +16,6 @@ from . import basis as bs
 from . import coherent, pauli, phases
 from .generators import build_generators, commutation_residual, generator_matrix
 
-SUITES = ("all", "su2", "su3", "su4", "pauli", "gamma")
-
 
 @dataclass(frozen=True)
 class Check:
@@ -231,13 +229,12 @@ _SUITE_FUNCS: dict[str, Callable[[], list[Check]]] = {
     "gamma": suite_gamma,
 }
 
+SUITES = ("all", *_SUITE_FUNCS)
+
 
 def run_suite(name: str) -> list[Check]:
     if name == "all":
-        checks = []
-        for suite in ("su2", "su3", "su4", "pauli", "gamma"):
-            checks.extend(_SUITE_FUNCS[suite]())
-        return checks
+        return [check for suite in _SUITE_FUNCS.values() for check in suite()]
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FUNCS[name]()

@@ -37,6 +37,8 @@ def test_dimension_closed_form(n, lam):
 def test_rejects_bad_irrep_spec(bad):
     with pytest.raises(ValueError):
         bs.enumerate_basis(*bad)
+    with pytest.raises(ValueError):
+        bs.dimension(*bad)
 
 
 def test_weights_table_su3_fundamental():

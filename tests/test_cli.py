@@ -5,6 +5,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
+from sunphases import cli
 from sunphases.cli import main
 
 
@@ -108,6 +109,19 @@ class TestPhases:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--root", "2,3", "--convention", "complementary", "--beta", "1.0"],
+            ["--root", "1,2", "--convention", "complementary", "--gamma", "1.0"],
+            ["--root", "1,2", "--beta", "2.0"],
+            ["--root", "2,3", "--convention", "paper-sign", "--gamma", "0.5"],
+        ],
+    )
+    def test_unused_angle_is_usage_error(self, runner, args):
+        result = runner.invoke(main, ["phases", "--n", "3", "--lambda", "1", *args])
+        assert result.exit_code == 2
+
     def test_bad_root_string(self, runner):
         result = runner.invoke(
             main, ["phases", "--n", "3", "--lambda", "1", "--root", "banana"]
@@ -166,6 +180,13 @@ class TestSweep:
         parallel = payload(runner.invoke(main, args + ["--threads", "4"]))
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_thread_count_below_one_is_usage_error(self, runner, threads):
+        result = runner.invoke(
+            main, ["sweep", "--n", "3", "--from", "1", "--to", "3", "--threads", threads]
+        )
+        assert result.exit_code == 2
+
     def test_commuting_pair_has_null_decay_exponent(self, runner):
         # E_21 is the inverse of E_12: every norm is zero and there is no slope
         def reject(name):
@@ -209,11 +230,40 @@ class TestGamma:
         assert data["results"]["dimension"] == 10
         assert data["residuals"]["commutation"] < 1e-12
 
+    def test_infinite_spin_is_usage_error(self, runner):
+        assert runner.invoke(main, ["gamma", "--j", "inf"]).exit_code == 2
+
     def test_requires_exactly_one_selector(self, runner):
         assert runner.invoke(main, ["gamma"]).exit_code == 2
         assert (
             runner.invoke(main, ["gamma", "--j", "1", "--lambda", "1"]).exit_code == 2
         )
+
+
+class TestMemoryGuard:
+    """With 1 MiB of memory, irreps past d = 181 cannot hold two complex matrices."""
+
+    @pytest.fixture(autouse=True)
+    def one_mebibyte(self, monkeypatch):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**20)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["phases", "--n", "3", "--lambda", "40"],
+            ["gens", "--n", "3", "--lambda", "40"],
+            ["sweep", "--n", "3", "--from", "1", "--to", "40"],
+            ["gamma", "--j", "200"],
+            ["gamma", "--lambda", "40"],
+        ],
+    )
+    def test_unfit_irrep_is_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
+
+    def test_small_irrep_still_runs(self, runner):
+        assert runner.invoke(main, ["phases", "--n", "3", "--lambda", "1"]).exit_code == 0
 
 
 class TestVerify:

@@ -83,6 +83,18 @@ class TestCompletion:
         assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-12
         assert factors.kernel_dimension == len(bs.kernel_states(b, root))
 
+    @pytest.mark.parametrize("convention", ["raw", "su2-invariant-plus", "nope"])
+    def test_completion_takes_only_the_unitary_conventions(self, convention):
+        with pytest.raises(ValueError):
+            phases.su2_invariant_completion(bs.enumerate_basis(3, 2), (1, 2), convention)
+
+    def test_factors_carry_the_short_convention_name(self):
+        b = bs.enumerate_basis(3, 2)
+        assert phases.polar_decompose(b, (1, 2), "paper-sign").convention == "paper-sign"
+        assert phases.polar_decompose(b, (1, 2), "raw").convention == "raw"
+        with pytest.raises(ValueError):
+            phases.polar_decompose(b, (1, 2), "raw-partial")
+
     def test_conventions_differ_by_diagonal_signs(self):
         b = bs.enumerate_basis(3, 4)
         plus = phases.su2_invariant_completion(b, (1, 2), "plus")

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,3 +37,39 @@ def test_matrix_above_the_limit_goes_to_a_sidecar(tmp_path):
 
 def test_without_out_everything_is_inline():
     assert spill(matrix(LIMIT + 1), None) == report.matrix_payload(matrix(LIMIT + 1))
+
+
+def test_dumps_converts_payload_types_like_a_hand_conversion():
+    mat = np.array(
+        [[complex(-0.0, 0.0), complex(1.0, -2.0)], [complex(0.0, 0.5), complex(-0.0, -0.0)]]
+    )
+    pairs = [[[-0.0, 0.0], [1.0, -2.0]], [[0.0, 0.5], [-0.0, -0.0]]]
+    transposed = [[pairs[0][0], pairs[1][0]], [pairs[0][1], pairs[1][1]]]
+    env = report.envelope(
+        "test",
+        {"count": np.int64(5)},
+        {"M": mat, "MT": mat.T, "ratio": Fraction(3, 7), "z": complex(1.5, -0.25)},
+    )
+    by_hand = dict(
+        env,
+        parameters={"count": 5},
+        results={
+            "M": pairs,
+            "MT": transposed,
+            "ratio": {"numerator": 3, "denominator": 7},
+            "z": [1.5, -0.25],
+        },
+    )
+    text = report.dumps(env)
+    assert text == report.dumps(by_hand)
+    assert "-0.0" in text
+
+
+def test_dumps_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        report.dumps({"x": {1, 2}})
+
+
+def test_csv_cells():
+    rows = [{"a": None, "b": 0.1, "c": [1, -2], "d": (3, 4), "e": 7}]
+    assert report.sweep_csv(rows) == "a,b,c,d,e\n,0.1,1 -2,3 4,7\n"
