@@ -303,7 +303,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         try:
             _refuse_unfit(2, _check_spin(spin))
             g = coherent.gamma_su2(spin)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise click.UsageError(str(exc))
         _emit_report(
             "gamma",

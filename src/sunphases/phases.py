@@ -291,8 +291,10 @@ def sweep(
 ) -> list[NoncommutativityReport]:
     """Non-commutativity reports for lam = lam_min..lam_max, ascending.
 
-    The per-lam computations are independent and run on a pool of `threads`
-    workers (at least one); the output order is by ascending lam regardless.
+    The per-lam computations are independent; with `threads` above one they
+    run on a pool of that many workers, and with one in this thread (a pool
+    worker's allocations would take a fresh malloc arena).  The output order
+    is by ascending lam regardless.
     """
     if lam_min > lam_max:
         raise ValueError(f"empty sweep range {lam_min}..{lam_max}")
@@ -301,6 +303,8 @@ def sweep(
     def one(lam: int) -> NoncommutativityReport:
         return noncommutativity_norm(n, lam, root_a, root_b, convention)
 
+    if threads == 1:
+        return list(map(one, lams))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, lams))
 

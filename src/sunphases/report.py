@@ -5,6 +5,9 @@ values and numpy arrays, and it converts, spills and serializes them.
 Payloads are deterministic: keys sorted, complex entries as [re, im] pairs,
 floats serialized by repr (lossless round-trip), no locale formatting.  The
 timestamp is the only field allowed to differ between identical runs.
+Every matrix, inline or in a sidecar, is rendered by `matrix_payload` to the
+exact text json.dumps(..., indent=2) would give its nested lists, and `dumps`
+splices it into the envelope that json writes.
 Matrices above the inline threshold are written to sidecar files referenced
 from the envelope so reports stay diffable.
 """
@@ -12,7 +15,10 @@ from the envelope so reports stay diffable.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -24,17 +30,61 @@ from . import __version__
 #: Matrices with more rows than this are written to sidecar files.
 INLINE_DIM_LIMIT = 400
 
+#: Stands in for a rendered matrix while json.dumps writes the envelope.  No
+#: string decoded from argv or UTF-8 holds a lone high surrogate; `dumps`
+#: refuses a payload string that equals the slot.
+_SLOT = "\ud800matrix\ud800"
 
-def matrix_payload(mat: np.ndarray) -> list[list[list[float]]]:
-    """Dense complex matrix as nested [re, im] pairs."""
+
+@dataclass(frozen=True)
+class RenderedMatrix:
+    """A matrix payload as the text json.dumps(..., indent=2) gives it at depth 0."""
+
+    text: str
+
+
+@functools.cache
+def _separators(ndim: int) -> tuple[tuple[str, ...], str]:
+    """Text json writes around the leaves of an ndim-deep list, read off a 2 x ... x 2 one.
+
+    Entry t is the text where the t innermost lists restart, entry ndim the
+    text before the first leaf; the string is the text after the last leaf.
+    """
+    template = np.arange(2**ndim).reshape((2,) * ndim).tolist()
+    pieces = re.split(r"\d+", json.dumps(template, indent=2))
+    return tuple(pieces[2**t] for t in range(ndim)) + (pieces[0],), pieces[-1]
+
+
+def matrix_payload(mat: np.ndarray) -> RenderedMatrix:
+    """Dense complex matrix as nested [re, im] pairs, rendered straight from the array.
+
+    json spells each distinct bit pattern once (repr, NaN, Infinity or
+    -Infinity), and one join puts the leaves between json's separators.
+    """
     mat = np.ascontiguousarray(mat, dtype=complex)
-    return mat.view(float).reshape(*mat.shape, 2).tolist()
+    pairs = mat.view(float).reshape(*mat.shape, 2)
+    if pairs.size == 0:  # no values, only a few empty brackets
+        return RenderedMatrix(json.dumps(pairs.tolist(), indent=2))
+    bits, leaf = np.unique(pairs.view(np.uint64).ravel(), return_inverse=True)
+    words = np.array(json.dumps(bits.view(float).tolist())[1:-1].split(", "), dtype=object)
+    before, tail = _separators(pairs.ndim)
+    restarts = np.zeros(pairs.shape, dtype=np.intp)
+    for t in range(1, pairs.ndim + 1):
+        restarts[(..., *[0] * t)] = t
+    parts = np.empty(2 * pairs.size + 1, dtype=object)
+    parts[:-1:2] = np.array(before, dtype=object)[restarts.ravel()]
+    parts[1::2] = words[leaf]
+    parts[-1] = tail
+    return RenderedMatrix("".join(parts.tolist()))
 
 
-def _default(value: Any) -> Any:
-    """json.dumps hook for the payload types json does not know."""
+def _default(matrices: list[str], value: Any) -> Any:
+    """json.dumps hook for the payload types json does not know; matrices go to slots."""
     if isinstance(value, np.ndarray):
-        return matrix_payload(value)
+        value = matrix_payload(value)
+    if isinstance(value, RenderedMatrix):
+        matrices.append(value.text)
+        return _SLOT
     if isinstance(value, Fraction):
         return {"numerator": value.numerator, "denominator": value.denominator}
     if isinstance(value, complex):
@@ -78,7 +128,17 @@ def spill_large_matrices(
 
 
 def dumps(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_default) + "\n"
+    """Sorted-key, indent=2 JSON; each matrix is spliced in at the indentation of its slot."""
+    matrices: list[str] = []
+    hook = functools.partial(_default, matrices)
+    pieces = json.dumps(payload, sort_keys=True, indent=2, default=hook).split(json.dumps(_SLOT))
+    if len(pieces) != len(matrices) + 1:
+        raise ValueError("a payload string equals the matrix slot")
+    out = [pieces[0]]
+    for before, matrix, after in zip(pieces, matrices, pieces[1:]):
+        pad = re.match(" *", before[before.rfind("\n") + 1 :]).group()
+        out += [matrix.replace("\n", "\n" + pad), after]
+    return "".join(out) + "\n"
 
 
 def _csv_cell(value: Any) -> str:

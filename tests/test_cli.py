@@ -180,6 +180,15 @@ class TestSweep:
         parallel = payload(runner.invoke(main, args + ["--threads", "4"]))
         assert serial == parallel
 
+    def test_thread_count_does_not_change_json_text(self, runner):
+        args = ["sweep", "--n", "3", "--from", "1", "--to", "6", "--threads"]
+
+        def text(threads):
+            lines = runner.invoke(main, args + [threads]).output.splitlines()
+            return [line for line in lines if '"timestamp"' not in line]
+
+        assert text("1") == text("4")
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_thread_count_below_one_is_usage_error(self, runner, threads):
         result = runner.invoke(
@@ -232,6 +241,12 @@ class TestGamma:
 
     def test_infinite_spin_is_usage_error(self, runner):
         assert runner.invoke(main, ["gamma", "--j", "inf"]).exit_code == 2
+
+    @pytest.mark.parametrize("spin", ["inf", "-inf", "nan"])
+    def test_non_finite_spin_is_usage_error(self, runner, spin):
+        result = runner.invoke(main, ["gamma", "--j", spin])
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
     def test_requires_exactly_one_selector(self, runner):
         assert runner.invoke(main, ["gamma"]).exit_code == 2

@@ -37,6 +37,11 @@ class TestGammaSu2:
         with pytest.raises(ValueError):
             coherent.gamma_su2(0.7)
 
+    @pytest.mark.parametrize("spin", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_spin(self, spin):
+        with pytest.raises(ValueError, match="finite"):
+            coherent.gamma_su2(spin)
+
 
 class TestWitness:
     @pytest.mark.parametrize("two_j", range(0, 21))

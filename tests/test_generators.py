@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ def test_su2_rejects_bad_spin():
         su2_matrices(0.3)
     with pytest.raises(ValueError):
         su2_matrices(-1)
+
+
+@pytest.mark.parametrize("spin", [math.inf, math.nan])
+def test_su2_rejects_non_finite_spin(spin):
+    with pytest.raises(ValueError, match="finite"):
+        su2_matrices(spin)
 
 
 @pytest.mark.parametrize("lam", range(1, 6))

@@ -274,6 +274,15 @@ class TestSweepAndFit:
         assert [r.lam for r in seq] == list(range(1, 7))
         assert seq == par
 
+    def test_single_thread_opens_no_pool(self, monkeypatch):
+        pooled = phases.sweep(3, 1, 6, threads=4)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("threads=1 opened a pool")
+
+        monkeypatch.setattr(phases, "ThreadPoolExecutor", no_pool)
+        assert phases.sweep(3, 1, 6, threads=1) == pooled
+
     def test_sweep_rejects_empty_range(self):
         with pytest.raises(ValueError):
             phases.sweep(3, 5, 4)

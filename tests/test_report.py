@@ -1,10 +1,18 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sunphases import report
+from sunphases import phases, report
+from sunphases.basis import enumerate_basis
+from sunphases.cli import main
+from sunphases.generators import build_generators, commutation_residual, generator_matrix
 
 LIMIT = 3
 
@@ -73,3 +81,121 @@ def test_dumps_rejects_unknown_types():
 def test_csv_cells():
     rows = [{"a": None, "b": 0.1, "c": [1, -2], "d": (3, 4), "e": 7}]
     assert report.sweep_csv(rows) == "a,b,c,d,e\n,0.1,1 -2,3 4,7\n"
+
+
+def by_hand(value):
+    """The payload with every ndarray spelled out as nested [re, im] lists."""
+    if isinstance(value, np.ndarray):
+        return [by_hand(part) for part in value]
+    if isinstance(value, np.generic):
+        z = complex(value)
+        return [z.real, z.imag]
+    if isinstance(value, dict):
+        return {key: by_hand(part) for key, part in value.items()}
+    if isinstance(value, list):
+        return [by_hand(part) for part in value]
+    return value
+
+
+def stock(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1.7e308, 1e-300]
+VIEWS = [
+    lambda a: a,
+    lambda a: a.T,
+    lambda a: a[::-1],
+    lambda a: a[..., ::2],
+]
+
+
+@st.composite
+def arrays(draw):
+    dtype = draw(st.sampled_from([np.int64, np.float64, np.complex128]))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
+    if dtype is np.int64:
+        elements = st.integers(-(2**53), 2**53)
+    else:
+        floats = st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS)
+        elements = st.builds(complex, floats, floats) if dtype is np.complex128 else floats
+    return draw(st.sampled_from(VIEWS))(draw(hnp.arrays(dtype, shape, elements=elements)))
+
+
+payloads = st.recursive(
+    arrays() | st.floats() | st.integers() | st.text(max_size=3) | st.none(),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(arrays())
+def test_a_rendered_matrix_matches_the_stock_encoder(mat):
+    assert report.dumps({"matrix": mat}) == stock({"matrix": by_hand(mat)})
+
+
+@settings(deadline=None)
+@given(payloads)
+def test_nested_matrices_match_the_stock_encoder(tree):
+    assert report.dumps({"payload": tree}) == stock({"payload": by_hand(tree)})
+
+
+def test_a_payload_string_equal_to_the_slot_is_refused():
+    with pytest.raises(ValueError):
+        report.dumps({"matrix": np.eye(2), "text": report._SLOT})
+
+
+def _expected_envelope(text, command, parameters, results, residuals):
+    """The envelope the CLI should write, hand-converted, with its own timestamp."""
+    env = report.envelope(command, parameters, by_hand(results), residuals)
+    return stock(dict(env, timestamp=json.loads(text)["timestamp"]))
+
+
+@pytest.mark.parametrize("convention", ["plus", "paper-sign"])
+def test_phases_sidecars_are_the_stock_encoding(tmp_path, convention):
+    out = tmp_path / "run.json"
+    args = ["phases", "--n", "3", "--lambda", "4", "--root", "1,2",
+            "--convention", convention, "--out", str(out)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    basis = enumerate_basis(3, 4)
+    factors = phases.polar_decompose(basis, (1, 2), convention)
+    emat, dmat = factors.unitary, factors.positive
+    cmat = generator_matrix(basis, 1, 2)
+    matrices = {"E": emat, "D": dmat, "phi": phases.phase_hermitian(emat)}
+    for name, mat in matrices.items():
+        side = tmp_path / f"run.{name}.json"
+        assert side.read_text() == stock({"matrix": by_hand(mat)})
+    text = out.read_text()
+    assert text == _expected_envelope(
+        text,
+        "phases",
+        {
+            "n": 3, "lambda": 4, "root": [1, 2],
+            "convention": convention, "beta": None, "gamma": None,
+        },
+        {"dimension": len(basis)}
+        | {name: {"file": f"run.{name}.json", "dimension": len(basis)} for name in matrices},
+        {
+            "unitarity": phases.unitarity_residual(emat),
+            "polar_identity": float(np.max(np.abs(emat @ dmat - cmat))),
+        },
+    )
+
+
+def test_inline_gens_payload_is_the_stock_encoding():
+    result = CliRunner().invoke(main, ["gens", "--n", "3", "--lambda", "3"])
+    assert result.exit_code == 0
+    gens = build_generators(enumerate_basis(3, 3))
+    results = {"dimension": 10}
+    results |= {f"C_{i}{j}": mat for (i, j), mat in gens.ladders.items()}
+    results |= {f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)}
+    assert result.output == _expected_envelope(
+        result.output,
+        "gens",
+        {"n": 3, "lambda": 3},
+        results,
+        {"commutation": commutation_residual(gens)},
+    )
