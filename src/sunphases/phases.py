@@ -111,9 +111,7 @@ def polar_decompose(
     dmat = positive_factor(cmat)
     kernel = set(kernel_states(basis, root))
 
-    zero_columns = {
-        k for k in range(len(basis)) if np.max(np.abs(cmat[:, k])) == 0.0
-    }
+    zero_columns = set(np.flatnonzero(~cmat.any(axis=0)).tolist())
     if zero_columns != kernel:
         raise RuntimeError(
             f"partial isometry kernel {sorted(zero_columns)} does not match "
@@ -196,17 +194,63 @@ def d_identity_residual(lam: int) -> float:
     return residual
 
 
+def _monomial_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and value of the single nonzero in each column of a monomial matrix."""
+    if mat.ndim != 2:
+        raise ValueError(f"group commutator needs matrices, got shape {mat.shape}")
+    nonzero = mat != 0
+    for axis in (0, 1):
+        if np.any(np.count_nonzero(nonzero, axis=axis) != 1):
+            raise ValueError(
+                "group commutator needs monomial matrices, one nonzero per row and column"
+            )
+    rows = np.argmax(nonzero, axis=0)
+    return rows, mat[rows, np.arange(len(rows))]
+
+
+def _commutator_columns(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (rows, vals) of U = A B A^dag B^dag for monomial A and B given by columns.
+
+    Column k of a monomial X holds vals[k] at row rows[k].  XY then has rows
+    rows_x[rows_y] and values vals_x[rows_y] * vals_y; X^dag has the inverse
+    permutation of rows_x as rows and the conjugated values read there.
+    """
+
+    def compose(x, y):
+        return x[0][y[0]], x[1][y[0]] * y[1]
+
+    def adjoint(x):
+        rows = np.empty_like(x[0])
+        rows[x[0]] = np.arange(len(rows))
+        return rows, x[1][rows].conj()
+
+    return compose(compose(compose(a, b), adjoint(a)), adjoint(b))
+
+
 def group_commutator(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group commutator U = Ea Eb Ea^-1 Eb^-1 and its defect M = U - 1."""
+    """Group commutator U = Ea Eb Ea^dag Eb^dag and its defect M = U - 1.
+
+    Both inputs must be monomial matrices (exactly one nonzero in every row
+    and column), such as the signed permutations `su2_invariant_completion`
+    returns, whose inverse is their adjoint.  U is composed from the
+    nonzeros of each column in O(d), with no matrix product, and scattered
+    into a dense d x d matrix.  Raises ValueError for inputs of different
+    shapes, non-square inputs and any input that is not monomial.
+    """
     if ea.shape != eb.shape:
         raise ValueError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
-    u = ea @ eb @ ea.conj().T @ eb.conj().T
-    return u, u - np.eye(u.shape[0])
+    rows, vals = _commutator_columns(_monomial_columns(ea), _monomial_columns(eb))
+    d = len(rows)
+    u = np.zeros((d, d), dtype=vals.dtype)
+    u[rows, np.arange(d)] = vals
+    return u, u - np.eye(d)
 
 
-def _fixed_point_count(u: np.ndarray, tol: float = 1e-9) -> int:
-    defect = np.max(np.abs(u - np.eye(u.shape[0])), axis=0)
-    return int(np.count_nonzero(defect < tol))
+def _fixed_point_count(m: np.ndarray, tol: float = 1e-9) -> int:
+    """Columns of the defect M = U - 1 with no entry of modulus tol or more."""
+    return int(np.count_nonzero(np.max(np.abs(m), axis=0) < tol))
 
 
 @dataclass(frozen=True)
@@ -265,7 +309,7 @@ def noncommutativity_norm(
     basis = enumerate_basis(n, lam)
     ea = su2_invariant_completion(basis, root_a, convention)
     eb = su2_invariant_completion(basis, root_b, convention)
-    u, m = group_commutator(ea, eb)
+    _, m = group_commutator(ea, eb)
     raw = float(np.vdot(m, m).real)
     d = len(basis)
     return NoncommutativityReport(
@@ -275,7 +319,7 @@ def noncommutativity_norm(
         raw_norm=raw,
         normalized_norm=raw / d,
         formula_value=_formula_for(n, root_a, root_b, lam),
-        fixed_point_count=_fixed_point_count(u),
+        fixed_point_count=_fixed_point_count(m),
         convention=convention,
     )
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunphases import basis as bs
 from sunphases import phases
@@ -22,6 +24,42 @@ def permutation_of(basis, root, convention="plus"):
             perm[idx] = orbit[(pos + 1) % len(orbit)]
             sign[idx] = wrap if (pos == len(orbit) - 1 and len(orbit) > 1) else 1
     return perm, sign
+
+
+def dense_commutator(ea, eb):
+    """Oracle: the group commutator from dense matrix products."""
+    u = ea @ eb @ ea.conj().T @ eb.conj().T
+    return u, u - np.eye(u.shape[0])
+
+
+#: Largest lambda drawn per n, keeping d at or below 126.
+LAM_MAX = {2: 8, 3: 8, 4: 6, 5: 5, 6: 4}
+
+
+@st.composite
+def completion_pairs(draw):
+    """(n, lam, root_a, root_b, convention) for two completed phase operators."""
+    n = draw(st.integers(2, 6))
+    lam = draw(st.integers(0, LAM_MAX[n]))
+    roots = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda r: r[0] != r[1])
+    convention = draw(st.sampled_from(["plus", "paper-sign"]))
+    return n, lam, draw(roots), draw(roots), convention
+
+
+@st.composite
+def monomials(draw, d):
+    """A random d x d monomial matrix with unit-modulus complex nonzeros."""
+    rows = draw(st.permutations(range(d)))
+    angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=d, max_size=d))
+    mat = np.zeros((d, d), dtype=complex)
+    mat[rows, np.arange(d)] = np.exp(1j * np.array(angles))
+    return mat
+
+
+@st.composite
+def monomial_pairs(draw):
+    d = draw(st.integers(1, 12))
+    return draw(monomials(d)), draw(monomials(d))
 
 
 class TestPositiveFactor:
@@ -185,6 +223,61 @@ class TestPhaseHermitian:
 
 
 class TestGroupCommutator:
+    @settings(deadline=None, max_examples=200)
+    @given(completion_pairs())
+    def test_completions_match_the_dense_product(self, pair):
+        n, lam, root_a, root_b, convention = pair
+        b = bs.enumerate_basis(n, lam)
+        ea = phases.su2_invariant_completion(b, root_a, convention)
+        eb = phases.su2_invariant_completion(b, root_b, convention)
+        u, m = phases.group_commutator(ea, eb)
+        want_u, want_m = dense_commutator(ea, eb)
+        assert np.array_equal(u, want_u)
+        assert np.array_equal(m, want_m)
+
+    @settings(deadline=None)
+    @given(monomial_pairs())
+    def test_unit_modulus_monomials_match_the_dense_product(self, pair):
+        u, m = phases.group_commutator(*pair)
+        want_u, want_m = dense_commutator(*pair)
+        assert np.max(np.abs(u - want_u)) <= 1e-15
+        assert np.max(np.abs(m - want_m)) <= 1e-15
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(monomials),
+        st.sampled_from(
+            ["zero column", "two in a column", "moved in its row", "moved in its column"]
+        ),
+        st.data(),
+    )
+    def test_rejects_a_matrix_that_is_not_monomial(self, mat, defect, data):
+        d = len(mat)
+        col = data.draw(st.integers(0, d - 1))
+        row = int(np.flatnonzero(mat[:, col])[0])
+        value = mat[row, col]
+        if defect == "zero column":
+            mat[row, col] = 0
+        elif defect == "two in a column":
+            mat[(row + 1) % d, col] = 1
+        elif defect == "moved in its row":  # every row keeps one nonzero
+            mat[row, col], mat[row, (col + 1) % d] = 0, value
+        else:  # every column keeps one nonzero
+            mat[row, col], mat[(row + 1) % d, col] = 0, value
+        good = np.eye(d, dtype=complex)
+        for args in ((mat, good), (good, mat)):
+            with pytest.raises(ValueError, match="monomial"):
+                phases.group_commutator(*args)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_rejects_a_dense_unitary(self, d, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        assert phases.unitarity_residual(q) < 1e-12
+        with pytest.raises(ValueError, match="monomial"):
+            phases.group_commutator(q, np.eye(d, dtype=complex))
+
     def test_self_commutator_vanishes(self):
         e = phases.su2_shift_E(2)
         _, m = phases.group_commutator(e, e)
@@ -216,6 +309,21 @@ class TestGroupCommutator:
 
 
 class TestNorms:
+    @settings(deadline=None, max_examples=100)
+    @given(completion_pairs())
+    def test_norm_and_fixed_points_match_the_dense_route(self, pair):
+        n, lam, root_a, root_b, convention = pair
+        b = bs.enumerate_basis(n, lam)
+        _, m = dense_commutator(
+            phases.su2_invariant_completion(b, root_a, convention),
+            phases.su2_invariant_completion(b, root_b, convention),
+        )
+        report = phases.noncommutativity_norm(n, lam, root_a, root_b, convention)
+        assert report.raw_norm == float(np.vdot(m, m).real)
+        assert report.fixed_point_count == int(
+            np.count_nonzero(np.max(np.abs(m), axis=0) < 1e-9)
+        )
+
     @pytest.mark.parametrize("lam", range(1, 11))
     def test_su3_matches_formula(self, lam):
         report = phases.noncommutativity_norm(3, lam)
