@@ -10,7 +10,7 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import click
 import numpy as np
@@ -53,17 +53,26 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refuse_unfit(n: int, lam: int) -> None:
-    """Usage error when two d x d complex matrices of the irrep exceed physical memory.
+def _basis_bytes(n: int, d: int) -> int:
+    # Peak of the `basis` JSON payload (CSV costs less) above an idle CLI, measured
+    # in process: 1.76 KB per state at n = 3 (d = 80 601), 2.29 KB at n = 6 (d = 80 730).
+    return (1250 + 175 * n) * d
 
-    Every matrix command holds at least two at once, so a refused irrep could
-    never finish; the check runs before anything is enumerated.
+
+def _refuse_unfit(
+    n: int, lam: int, nbytes: Callable[[int, int], int] = lambda n, d: 32 * d * d
+) -> None:
+    """Usage error when the irrep needs nbytes(n, d) beyond physical memory.
+
+    The default counts two d x d complex matrices, which every matrix command
+    holds at once.  The check runs before anything is enumerated.
     """
     d = bs.dimension(n, lam)
-    if 32 * d * d > _physical_memory():
+    need = nbytes(n, d)
+    if need > _physical_memory():
         raise click.UsageError(
-            f"n={n}, lambda={lam} has dimension {d}: two {d}x{d} complex matrices "
-            f"({32 * d * d / 2**30:.2f} GiB) exceed physical memory"
+            f"n={n}, lambda={lam} has dimension {d} and needs "
+            f"{need / 2**30:.2f} GiB, more than physical memory"
         )
 
 
@@ -88,6 +97,7 @@ def main() -> None:
 def cmd_basis(n: int, lam: int, fmt: str, out: Path | None) -> None:
     """Emit the ordered occupation basis with weights."""
     try:
+        _refuse_unfit(n, lam, _basis_bytes)
         basis = bs.enumerate_basis(n, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -157,29 +167,14 @@ def cmd_phases(
     try:
         _refuse_unfit(n, lam)
         basis = bs.enumerate_basis(n, lam)
-        bs.check_root(n, root_pair)
+        cmat = generator_matrix(basis, *bs.check_root(n, root_pair))
+        factors = phases.polar_decompose(
+            basis, root_pair, convention, beta if beta is not None else gamma
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    cmat = generator_matrix(basis, *root_pair)
-    if convention == "complementary":
-        if (n, lam) != (3, 1):
-            raise click.UsageError(
-                "complementary completion is defined for the fundamental su(3) irrep only"
-            )
-        if root_pair == (1, 2):
-            emat = pauli.complementary_E12(beta if beta is not None else 0.0)
-        elif root_pair == (2, 3):
-            emat = pauli.complementary_E23(gamma if gamma is not None else 0.0)
-        else:
-            raise click.UsageError(
-                f"complementary completion covers roots 1,2 and 2,3 only, got {root}"
-            )
-        dmat = phases.positive_factor(cmat)
-    else:
-        factors = phases.polar_decompose(basis, root_pair, convention)
-        emat, dmat = factors.unitary, factors.positive
-
+    emat, dmat = factors.unitary, factors.positive
     residuals = {
         "unitarity": phases.unitarity_residual(emat),
         "polar_identity": float(np.max(np.abs(emat @ dmat - cmat))),

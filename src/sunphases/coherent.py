@@ -21,9 +21,9 @@ from .generators import (
     GeneratorSet,
     SU2Matrices,
     _check_spin,
+    _generator_set,
     _spin_matrices,
     _weight_shift,
-    cartan_matrix,
     commutation_residual,
     su2_matrices,
 )
@@ -141,25 +141,13 @@ def displayed_coefficient(lam: int, root: tuple[int, int], weight: tuple[int, in
 def gamma_su3(lam: int) -> GeneratorSet:
     """Coherent-state realization of su(3) on the (lam, 0) occupation basis.
 
-    The two displayed raising operators and their partner lowering operators
-    follow the occupation rule; C_13 and C_31 are produced by
-    commutator closure, [C_12, C_23] = C_13 and [C_32, C_21] = C_31.
+    Every ladder C_ij follows the occupation rule of `_coherent_ladder`, so
+    the long roots C_13 and C_31 are built like the displayed ones and
+    [C_12, C_23] = C_13 is left for the commutation check to confirm.
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    basis = enumerate_basis(3, lam)
-    ladders = {
-        root: _coherent_ladder(basis, *root)
-        for root in [(1, 2), (2, 3), (2, 1), (3, 2)]
-    }
-    ladders[(1, 3)] = (
-        ladders[(1, 2)] @ ladders[(2, 3)] - ladders[(2, 3)] @ ladders[(1, 2)]
-    )
-    ladders[(3, 1)] = (
-        ladders[(3, 2)] @ ladders[(2, 1)] - ladders[(2, 1)] @ ladders[(3, 2)]
-    )
-    cartans = (cartan_matrix(basis, 1), cartan_matrix(basis, 2))
-    return GeneratorSet(basis=basis, ladders=ladders, cartans=cartans)
+    return _generator_set(enumerate_basis(3, lam), _coherent_ladder)
 
 
 def gamma_su3_commutation_residual(gamma: GeneratorSet) -> float:

@@ -70,16 +70,21 @@ class GeneratorSet:
     cartans: tuple[np.ndarray, ...]
 
 
-def build_generators(basis: OrderedBasis) -> GeneratorSet:
-    """Construct the full generator set for the basis."""
+def _generator_set(basis: OrderedBasis, ladder: Callable[..., np.ndarray]) -> GeneratorSet:
+    """Every ladder(basis, i, j) with i != j, plus the Cartan matrices."""
     ladders = {
-        (i, j): generator_matrix(basis, i, j)
+        (i, j): ladder(basis, i, j)
         for i in range(1, basis.n + 1)
         for j in range(1, basis.n + 1)
         if i != j
     }
     cartans = tuple(cartan_matrix(basis, k) for k in range(1, basis.n))
     return GeneratorSet(basis=basis, ladders=ladders, cartans=cartans)
+
+
+def build_generators(basis: OrderedBasis) -> GeneratorSet:
+    """Construct the full generator set for the basis."""
+    return _generator_set(basis, generator_matrix)
 
 
 def commutation_residual(gens: GeneratorSet) -> float:

@@ -1,10 +1,12 @@
 """Generalized Pauli pair and the complementarity-based phase operators in dimension 3.
 
 The clock matrix Z = diag(w, w^2, 1) and the decorated shift X obey
-X^k Z^l = w^{kl} Z^l X^k.  A phase operator complementary to the population
-difference must intertwine Z with w^2 Z; for the fundamental irrep this pins
-the unitary down to one free angle per operator, and demanding additive phases
-restricts the angles to a 2pi/3 lattice.
+X^k Z^l = w^{kl} Z^l X^k (Schwinger's unitary operator basis, PNAS 46, 570
+(1960)).  X and the complementary phase operators are all decorated cyclic
+shifts.  A phase operator complementary to the population difference must
+intertwine Z with w^2 Z; for the fundamental irrep this pins the unitary down
+to one free angle per operator, and demanding additive phases restricts the
+angles to a 2pi/3 lattice.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ class PauliPair:
     z: np.ndarray
 
 
+def _decorated_shift(entries: list[complex]) -> np.ndarray:
+    """Cyclic shift decorated by entries: entry r sits at row r, column r + 1 mod d."""
+    d = len(entries)
+    mat = np.zeros((d, d), dtype=complex)
+    mat[np.arange(d), (np.arange(d) + 1) % d] = entries
+    return mat
+
+
 def pauli_generators(d: int = 3) -> PauliPair:
     """Clock and shift pair in dimension d.
 
@@ -41,14 +51,7 @@ def pauli_generators(d: int = 3) -> PauliPair:
         raise ValueError(f"dimension must be at least 2, got {d}")
     w = omega(d)
     z = np.diag(np.array([w ** (r + 1) for r in range(d)], dtype=complex))
-    x = np.zeros((d, d), dtype=complex)
-    if d == 3:
-        x[0, 1] = 1.0
-        x[1, 2] = w ** 2
-        x[2, 0] = w
-    else:
-        for r in range(d):
-            x[r, (r + 1) % d] = 1.0
+    x = _decorated_shift([1.0, w ** 2, w] if d == 3 else [1.0] * d)
     return PauliPair(d=d, omega=w, x=x, z=z)
 
 
@@ -69,26 +72,12 @@ def pauli_relation_residual(pair: PauliPair) -> float:
 
 def complementary_E12(beta: float) -> np.ndarray:
     """One-parameter family of complementary phase unitaries for C_12."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, cmath.exp(1j * beta)],
-            [cmath.exp(-1j * beta), 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    return _decorated_shift([1.0, cmath.exp(1j * beta), cmath.exp(-1j * beta)])
 
 
 def complementary_E23(gamma: float) -> np.ndarray:
     """One-parameter family of complementary phase unitaries for C_23."""
-    return np.array(
-        [
-            [0.0, cmath.exp(1j * gamma), 0.0],
-            [0.0, 0.0, 1.0],
-            [cmath.exp(-1j * gamma), 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    return _decorated_shift([cmath.exp(1j * gamma), 1.0, cmath.exp(-1j * gamma)])
 
 
 def complementarity_check(e: np.ndarray) -> float:

@@ -4,7 +4,8 @@ The ladder matrix C_ij is rank deficient, so its right polar factorization
 C = E D fixes the unitary E only on the support of D = sqrt(C^dag C).  The
 undetermined columns sit exactly over the kernel states (n_j = 0) and are
 filled here by the SU(2)-invariant cyclic completion: each su(2) weight string
-becomes a cycle, the wrap entry carrying a convention-dependent sign.
+becomes a cycle, the wrap entry carrying a convention-dependent sign.  On the
+fundamental su(3) irrep the "complementary" convention uses the `pauli` families.
 
 The group commutator of two completed phase operators measures how badly the
 corresponding phases fail to be additive; `noncommutativity_norm` and `sweep`
@@ -31,12 +32,17 @@ from .basis import (
     su2_strings,
 )
 from .generators import _check_spin, cartan_matrix, generator_matrix
+from .pauli import complementary_E12, complementary_E23
 
 #: Unitary completion conventions: wrap phase of each cyclic string.
 _WRAP_PHASE = {"plus": 1.0, "paper-sign": -1.0}
 
+#: Complementary completions of the fundamental su(3) irrep, one angle each.
+_COMPLEMENTARY = {(1, 2): complementary_E12, (2, 3): complementary_E23}
+
 _KERNEL_REL_THRESHOLD = 1e-10
 _UNITARITY_TOL = 1e-10
+_FIXED_POINT_TOL = 1e-9
 
 
 def positive_factor(mat: np.ndarray) -> np.ndarray:
@@ -98,15 +104,30 @@ class PolarFactors:
 
 
 def polar_decompose(
-    basis: OrderedBasis, root: Root, convention: str = "plus"
+    basis: OrderedBasis, root: Root, convention: str = "plus", angle: float | None = None
 ) -> PolarFactors:
     """Polar-decompose C_ij on the basis with the requested completion.
 
     The undetermined columns of the partial isometry must coincide with the
     kernel states of the root; a mismatch signals an internal inconsistency
-    and raises.  The convention is "plus", "paper-sign" or "raw".
+    and raises.  The convention is "plus", "paper-sign", "raw" or
+    "complementary".  Only "complementary" takes an angle (beta for root 1,2,
+    gamma for root 2,3, default 0), and only on the fundamental su(3) irrep;
+    anything else raises ValueError before C is built.
     """
     root = check_root(basis.n, root)
+    if convention == "complementary":
+        if (basis.n, basis.lam) != (3, 1):
+            raise ValueError(
+                "complementary completion is defined for the fundamental su(3) irrep only"
+            )
+        if root not in _COMPLEMENTARY:
+            raise ValueError(
+                f"complementary completion covers roots 1,2 and 2,3 only, got {root[0]},{root[1]}"
+            )
+        emat = _COMPLEMENTARY[root](0.0 if angle is None else angle)
+    elif angle is not None:
+        raise ValueError(f"the {convention!r} completion takes no angle")
     cmat = generator_matrix(basis, *root)
     dmat = positive_factor(cmat)
     kernel = set(kernel_states(basis, root))
@@ -122,7 +143,7 @@ def polar_decompose(
         diag = np.real(np.diag(dmat)).copy()
         inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         emat = cmat * inv[np.newaxis, :]
-    else:
+    elif convention != "complementary":
         emat = su2_invariant_completion(basis, root, convention)
     return PolarFactors(
         unitary=emat,
@@ -248,9 +269,9 @@ def group_commutator(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.nda
     return u, u - np.eye(d)
 
 
-def _fixed_point_count(m: np.ndarray, tol: float = 1e-9) -> int:
-    """Columns of the defect M = U - 1 with no entry of modulus tol or more."""
-    return int(np.count_nonzero(np.max(np.abs(m), axis=0) < tol))
+def _fixed_point_count(m: np.ndarray) -> int:
+    """Columns of the defect M = U - 1 with no entry of modulus 1e-9 or more."""
+    return int(np.count_nonzero(np.max(np.abs(m), axis=0) < _FIXED_POINT_TOL))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,15 @@ class TestPhases:
         assert re == pytest.approx(math.cos(beta))
         assert im == pytest.approx(math.sin(beta))
 
+    def test_complementary_names_the_root(self, runner):
+        result = runner.invoke(
+            main,
+            ["phases", "--n", "3", "--lambda", "1", "--root", "1,3",
+             "--convention", "complementary"],
+        )
+        assert result.exit_code == 2
+        assert "covers roots 1,2 and 2,3 only, got 1,3" in result.output
+
     def test_complementary_needs_fundamental(self, runner):
         result = runner.invoke(
             main,
@@ -256,7 +265,8 @@ class TestGamma:
 
 
 class TestMemoryGuard:
-    """With 1 MiB of memory, irreps past d = 181 cannot hold two complex matrices."""
+    """With 1 MiB of memory, irreps past d = 181 cannot hold two complex matrices,
+    and a `basis` payload past about 590 states (n = 3) does not fit."""
 
     @pytest.fixture(autouse=True)
     def one_mebibyte(self, monkeypatch):
@@ -270,6 +280,8 @@ class TestMemoryGuard:
             ["sweep", "--n", "3", "--from", "1", "--to", "40"],
             ["gamma", "--j", "200"],
             ["gamma", "--lambda", "40"],
+            ["basis", "--n", "3", "--lambda", "40"],
+            ["basis", "--n", "6", "--lambda", "10", "--format", "csv"],
         ],
     )
     def test_unfit_irrep_is_usage_error(self, runner, args):
@@ -279,6 +291,9 @@ class TestMemoryGuard:
 
     def test_small_irrep_still_runs(self, runner):
         assert runner.invoke(main, ["phases", "--n", "3", "--lambda", "1"]).exit_code == 0
+
+    def test_small_basis_still_runs(self, runner):
+        assert runner.invoke(main, ["basis", "--n", "3", "--lambda", "1"]).exit_code == 0
 
 
 class TestVerify:

@@ -153,6 +153,13 @@ class TestGammaSu3:
         c13 = g.ladders[(1, 2)] @ g.ladders[(2, 3)] - g.ladders[(2, 3)] @ g.ladders[(1, 2)]
         assert np.array_equal(c13, g.ladders[(1, 3)])
 
+    @pytest.mark.parametrize("lam", range(0, 7))
+    def test_every_ladder_is_the_coherent_ladder(self, lam):
+        g = coherent.gamma_su3(lam)
+        assert sorted(g.ladders) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        for (i, j), mat in g.ladders.items():
+            assert np.array_equal(mat, coherent._coherent_ladder(g.basis, i, j))
+
     @pytest.mark.parametrize("lam", range(0, 5))
     def test_commutation_relations(self, lam):
         g = coherent.gamma_su3(lam)

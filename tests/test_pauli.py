@@ -1,8 +1,11 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunphases import basis as bs
 from sunphases import pauli, phases
@@ -40,6 +43,68 @@ def test_general_dimension_relations(d):
     assert pauli.pauli_relation_residual(pair) < 1e-12
     eye = np.eye(d)
     assert np.max(np.abs(np.linalg.matrix_power(pair.x, d) - eye)) < 1e-12
+
+
+def literal_E12(beta):
+    """The 3x3 literal the decorated shift replaced."""
+    return np.array(
+        [
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, cmath.exp(1j * beta)],
+            [cmath.exp(-1j * beta), 0.0, 0.0],
+        ],
+        dtype=complex,
+    )
+
+
+def literal_E23(gamma):
+    """The 3x3 literal the decorated shift replaced."""
+    return np.array(
+        [
+            [0.0, cmath.exp(1j * gamma), 0.0],
+            [0.0, 0.0, 1.0],
+            [cmath.exp(-1j * gamma), 0.0, 0.0],
+        ],
+        dtype=complex,
+    )
+
+
+def literal_shift(d):
+    """X entry by entry, as it was set before the decorated shift."""
+    w = pauli.omega(d)
+    x = np.zeros((d, d), dtype=complex)
+    if d == 3:
+        x[0, 1] = 1.0
+        x[1, 2] = w**2
+        x[2, 0] = w
+    else:
+        for r in range(d):
+            x[r, (r + 1) % d] = 1.0
+    return x
+
+
+def same_bits(a, b):
+    """Equal as arrays and bit for bit, so a flipped sign of zero shows."""
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi / 3, -2 * math.pi / 3]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestDecoratedShift:
+    @settings(deadline=None, max_examples=300)
+    @given(ANGLES)
+    def test_families_match_the_literals(self, angle):
+        assert same_bits(pauli.complementary_E12(angle), literal_E12(angle))
+        assert same_bits(pauli.complementary_E23(angle), literal_E23(angle))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_shift_matches_the_literal(self, d):
+        assert same_bits(pauli.pauli_generators(d).x, literal_shift(d))
 
 
 def test_rejects_dimension_one():

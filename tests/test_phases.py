@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunphases import basis as bs
-from sunphases import phases
+from sunphases import pauli, phases
 from sunphases.generators import cartan_matrix, generator_matrix
 
 E12_SIGNED = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -159,6 +159,41 @@ class TestCompletion:
         assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-12
         for k in bs.kernel_states(b, (1, 2)):
             assert np.all(factors.unitary[:, k] == 0)
+
+
+class TestComplementaryConvention:
+    FAMILY = {(1, 2): pauli.complementary_E12, (2, 3): pauli.complementary_E23}
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.sampled_from([(1, 2), (2, 3)]),
+        st.one_of(st.none(), st.sampled_from([0.0, -0.0, math.pi]), st.floats(-1e6, 1e6)),
+    )
+    def test_is_the_family(self, root, angle):
+        b = bs.enumerate_basis(3, 1)
+        factors = phases.polar_decompose(b, root, "complementary", angle)
+        expected = self.FAMILY[root](0.0 if angle is None else angle)
+        assert factors.unitary.tobytes() == expected.tobytes()
+        c = generator_matrix(b, *root)
+        assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-13
+        assert factors.kernel_dimension == 2
+        assert factors.convention == "complementary"
+
+    @pytest.mark.parametrize("n, lam", [(3, 0), (3, 2), (2, 1), (4, 1)])
+    def test_only_the_fundamental_su3_irrep(self, n, lam):
+        with pytest.raises(ValueError, match="fundamental su\\(3\\) irrep"):
+            phases.polar_decompose(bs.enumerate_basis(n, lam), (1, 2), "complementary")
+
+    @pytest.mark.parametrize("root", [(1, 3), (3, 1), (2, 1), (3, 2)])
+    def test_only_roots_12_and_23(self, root):
+        with pytest.raises(ValueError, match=f"got {root[0]},{root[1]}$"):
+            phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", 1.0)
+
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw"])
+    @pytest.mark.parametrize("angle", [0.0, 1.0])
+    def test_other_conventions_take_no_angle(self, convention, angle):
+        with pytest.raises(ValueError, match="takes no angle"):
+            phases.polar_decompose(bs.enumerate_basis(3, 1), (1, 2), convention, angle)
 
 
 class TestShift:
