@@ -18,7 +18,7 @@ import numpy as np
 from . import basis as bs
 from . import coherent, pauli, phases, report, verify
 from .generators import _check_spin
-from .generators import build_generators, commutation_residual, generator_matrix
+from .generators import build_generators, commutation_residual
 
 EXIT_VERIFY_FAILED = 1
 EXIT_RESIDUAL_BREACH = 3
@@ -40,11 +40,10 @@ def _emit_report(
     results: dict[str, Any],
     out: Path | None,
     residuals: dict[str, float] | None = None,
-    matrices: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Envelope the values, spill matrices too large to inline, emit the JSON."""
     env = report.envelope(command, parameters, results, residuals)
-    report.spill_large_matrices(env, matrices or {}, out)
+    report.spill_large_matrices(env, out)
     _emit(report.dumps(env), out)
 
 
@@ -59,13 +58,21 @@ def _basis_bytes(n: int, d: int) -> int:
     return (1250 + 175 * n) * d
 
 
-def _refuse_unfit(
-    n: int, lam: int, nbytes: Callable[[int, int], int] = lambda n, d: 32 * d * d
-) -> None:
+# Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two
+# sizes each and taken as the slope between them; --out changes only phases and gens.
+#   phases  384, 244 with --out                        (n = 3, lambda = 30 and 50)
+#   gens    112 per matrix, 150 + 16 per matrix with --out, for all n^2 - 1 of them
+#           (n = 3, lambda = 40 and 50; n = 4, lambda = 8 to 16)
+#   sweep    72 at its largest lambda                   (n = 3, lambda = 30 and 50)
+#   gamma   243 with --lambda 30 and 50, 251 with --j 500 and 1000
+def _per_entry(nbytes: float) -> Callable[[int, int], int]:
+    return lambda n, d: int(nbytes * d * d)
+
+
+def _refuse_unfit(n: int, lam: int, nbytes: Callable[[int, int], int]) -> None:
     """Usage error when the irrep needs nbytes(n, d) beyond physical memory.
 
-    The default counts two d x d complex matrices, which every matrix command
-    holds at once.  The check runs before anything is enumerated.
+    The check runs before anything is enumerated.
     """
     d = bs.dimension(n, lam)
     need = nbytes(n, d)
@@ -119,18 +126,18 @@ def cmd_basis(n: int, lam: int, fmt: str, out: Path | None) -> None:
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     """Emit ladder and Cartan matrices plus the commutation residual."""
+    matrices = n * n - 1
     try:
-        _refuse_unfit(n, lam)
+        _refuse_unfit(n, lam, _per_entry(112 * matrices if out is None else 150 + 16 * matrices))
         basis = bs.enumerate_basis(n, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     gens = build_generators(basis)
     residuals = {"commutation": commutation_residual(gens)}
-    matrices = {f"C_{i}{j}": mat for (i, j), mat in sorted(gens.ladders.items())}
-    matrices.update({f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)})
-    _emit_report(
-        "gens", {"n": n, "lambda": lam}, {"dimension": len(basis)}, out, residuals, matrices
-    )
+    results = {"dimension": len(basis)}
+    results |= {f"C_{i}{j}": mat for (i, j), mat in gens.ladders.items()}
+    results |= {f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)}
+    _emit_report("gens", {"n": n, "lambda": lam}, results, out, residuals)
     if max(residuals.values()) > 1e-10:
         sys.exit(EXIT_RESIDUAL_BREACH)
 
@@ -165,9 +172,8 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam)
+        _refuse_unfit(n, lam, _per_entry(384 if out is None else 244))
         basis = bs.enumerate_basis(n, lam)
-        cmat = generator_matrix(basis, *bs.check_root(n, root_pair))
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma
         )
@@ -177,7 +183,7 @@ def cmd_phases(
     emat, dmat = factors.unitary, factors.positive
     residuals = {
         "unitarity": phases.unitarity_residual(emat),
-        "polar_identity": float(np.max(np.abs(emat @ dmat - cmat))),
+        "polar_identity": float(np.max(np.abs(emat @ dmat - factors.ladder))),
     }
     _emit_report(
         "phases",
@@ -189,10 +195,9 @@ def cmd_phases(
             "beta": beta,
             "gamma": gamma,
         },
-        {"dimension": len(basis)},
+        {"dimension": len(basis), "E": emat, "D": dmat, "phi": phases.phase_hermitian(emat)},
         out,
         residuals,
-        {"E": emat, "D": dmat, "phi": phases.phase_hermitian(emat)},
     )
     if max(residuals.values()) > 1e-10:
         sys.exit(EXIT_RESIDUAL_BREACH)
@@ -228,7 +233,7 @@ def cmd_sweep(
     try:
         bs.check_root(n, root_a)
         bs.check_root(n, root_b)
-        _refuse_unfit(n, lam_max)
+        _refuse_unfit(n, lam_max, _per_entry(72))
         rows = phases.sweep(
             n, lam_min, lam_max, root_a, root_b, convention, threads=threads
         )
@@ -296,7 +301,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         raise click.UsageError("give exactly one of --j or --lambda")
     if spin is not None:
         try:
-            _refuse_unfit(2, _check_spin(spin))
+            _refuse_unfit(2, _check_spin(spin), _per_entry(251))
             g = coherent.gamma_su2(spin)
         except ValueError as exc:
             raise click.UsageError(str(exc))
@@ -320,7 +325,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         )
     else:
         try:
-            _refuse_unfit(3, lam)
+            _refuse_unfit(3, lam, _per_entry(243))
             g3 = coherent.gamma_su3(lam)
         except ValueError as exc:
             raise click.UsageError(str(exc))

@@ -93,14 +93,15 @@ class PolarFactors:
     """Polar factorization C = E D of one ladder matrix.
 
     E is unitary (or a partial isometry under the raw convention), D is the
-    Hermitian PSD factor, and kernel_dimension counts the columns of the
-    partial isometry that had to be completed.
+    Hermitian PSD factor, ladder is C itself, and kernel_dimension counts the
+    columns of the partial isometry that had to be completed.
     """
 
     unitary: np.ndarray
     positive: np.ndarray
     convention: str
     kernel_dimension: int
+    ladder: np.ndarray
 
 
 def polar_decompose(
@@ -150,6 +151,7 @@ def polar_decompose(
         positive=dmat,
         convention=convention,
         kernel_dimension=len(kernel),
+        ladder=cmat,
     )
 
 

@@ -265,8 +265,8 @@ class TestGamma:
 
 
 class TestMemoryGuard:
-    """With 1 MiB of memory, irreps past d = 181 cannot hold two complex matrices,
-    and a `basis` payload past about 590 states (n = 3) does not fit."""
+    """With 1 MiB of memory, no matrix command fits an irrep of dimension 401 or
+    more, and a `basis` payload past about 590 states (n = 3) does not fit."""
 
     @pytest.fixture(autouse=True)
     def one_mebibyte(self, monkeypatch):
@@ -294,6 +294,37 @@ class TestMemoryGuard:
 
     def test_small_basis_still_runs(self, runner):
         assert runner.invoke(main, ["basis", "--n", "3", "--lambda", "1"]).exit_code == 0
+
+
+class TestMatrixCommandCost:
+    """Every matrix command holds more than the two d x d complex matrices (32 bytes
+    per entry) once assumed: with 64 bytes per entry of d = 66 it refuses d = 66,
+    with or without --out, and still runs d = 3."""
+
+    @pytest.fixture(autouse=True)
+    def sixty_four_bytes_per_entry(self, monkeypatch):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 64 * 66**2)
+
+    @pytest.mark.parametrize("out", [False, True])
+    @pytest.mark.parametrize(
+        "unfit, fit",
+        [
+            (["phases", "--n", "3", "--lambda", "10"], ["phases", "--n", "3", "--lambda", "1"]),
+            (["gens", "--n", "3", "--lambda", "10"], ["gens", "--n", "3", "--lambda", "1"]),
+            (
+                ["sweep", "--n", "3", "--from", "1", "--to", "10"],
+                ["sweep", "--n", "3", "--from", "1", "--to", "1"],
+            ),
+            (["gamma", "--lambda", "10"], ["gamma", "--lambda", "1"]),
+            (["gamma", "--j", "32.5"], ["gamma", "--j", "1"]),
+        ],
+    )
+    def test_measured_cost_is_refused(self, runner, tmp_path, unfit, fit, out):
+        extra = ["--out", str(tmp_path / "run.json")] if out else []
+        result = runner.invoke(main, unfit + extra)
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
+        assert runner.invoke(main, fit + extra).exit_code == 0
 
 
 class TestVerify:

@@ -27,12 +27,13 @@ def matrix(rows):
 
 
 def spill(mat, out):
-    env = report.envelope("test", {}, {})
-    return report.spill_large_matrices(env, {"E": mat}, out)["results"]["E"]
+    env = report.envelope("test", {}, {"E": mat})
+    return report.spill_large_matrices(env, out)["results"]["E"]
 
 
 def test_matrix_at_the_limit_stays_inline(tmp_path):
-    assert spill(matrix(LIMIT), tmp_path / "run.json") == report.matrix_payload(matrix(LIMIT))
+    mat = matrix(LIMIT)
+    assert spill(mat, tmp_path / "run.json") is mat
     assert list(tmp_path.iterdir()) == []
 
 
@@ -44,7 +45,8 @@ def test_matrix_above_the_limit_goes_to_a_sidecar(tmp_path):
 
 
 def test_without_out_everything_is_inline():
-    assert spill(matrix(LIMIT + 1), None) == report.matrix_payload(matrix(LIMIT + 1))
+    mat = matrix(LIMIT + 1)
+    assert spill(mat, None) is mat
 
 
 def test_dumps_converts_payload_types_like_a_hand_conversion():
@@ -141,6 +143,12 @@ def test_a_rendered_matrix_matches_the_stock_encoder(mat):
 @given(payloads)
 def test_nested_matrices_match_the_stock_encoder(tree):
     assert report.dumps({"payload": tree}) == stock({"payload": by_hand(tree)})
+
+
+def test_one_matrix_at_two_depths_matches_the_stock_encoder():
+    mat = matrix(2)
+    payload = {"a": mat, "b": [{"c": mat}]}
+    assert report.dumps(payload) == stock(by_hand(payload))
 
 
 def test_a_payload_string_equal_to_the_slot_is_refused():
