@@ -60,7 +60,9 @@ def _basis_bytes(n: int, d: int) -> int:
 
 # Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two
 # sizes each and taken as the slope between them; --out changes only phases and gens.
-#   phases  384, 244 with --out                        (n = 3, lambda = 30 and 50)
+#   phases  485, 276 with --out: the largest over n = 2 (lambda = 600 and 1000, one
+#           cycle, so phi is dense), n = 3 (362 and 225, lambda = 30 and 50), n = 4
+#           (347 and 220, lambda = 14 and 18) and n = 5 (412 and 220, lambda = 8, 10)
 #   gens    112 per matrix, 150 + 16 per matrix with --out, for all n^2 - 1 of them
 #           (n = 3, lambda = 40 and 50; n = 4, lambda = 8 to 16)
 #   sweep    72 at its largest lambda                   (n = 3, lambda = 30 and 50)
@@ -172,7 +174,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _per_entry(384 if out is None else 244))
+        _refuse_unfit(n, lam, _per_entry(485 if out is None else 276))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma

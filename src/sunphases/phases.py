@@ -11,6 +11,13 @@ The group commutator of two completed phase operators measures how badly the
 corresponding phases fail to be additive; `noncommutativity_norm` and `sweep`
 quantify this across irreps and compare against the closed-form edge-counting
 predictions.
+
+The routines read the structure they are given.  A ladder C_ij has at most
+one nonzero per row, so D is diagonal and `positive_factor` needs no
+eigendecomposition.  A completed E is monomial, so `unitarity_residual` reads
+its nonzeros and `phase_hermitian` takes the logarithm cycle by cycle; for a
+signed permutation the (-pi, pi] branch holds by construction, with no snap.
+Other input takes the dense routes, `eigh` and Schur.
 """
 
 from __future__ import annotations
@@ -46,16 +53,28 @@ _FIXED_POINT_TOL = 1e-9
 
 
 def positive_factor(mat: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of C^dag C, via eigendecomposition.
+    """Hermitian PSD square root of C^dag C.
 
-    Eigenvalues of C^dag C below _KERNEL_REL_THRESHOLD times
-    max(top eigenvalue, 1) are treated as exact zeros.
+    When no row of C holds more than one nonzero, the columns have disjoint
+    supports, C^dag C is diagonal, and D is the square root of the squared
+    column norms; every ladder C_ij is such a weighted partial permutation.
+    Any other input goes through an eigendecomposition of C^dag C.  Either
+    way, eigenvalues below _KERNEL_REL_THRESHOLD times max(top eigenvalue, 1)
+    are treated as exact zeros.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"positive factor needs a square matrix, got {mat.shape}")
-    gram = mat.conj().T @ mat
-    evals, evecs = np.linalg.eigh(gram)
+    if np.all(np.count_nonzero(mat, axis=1) <= 1):
+        evals = np.sum(mat.real**2 + mat.imag**2, axis=0)
+        floor = _KERNEL_REL_THRESHOLD * max(float(evals.max()), 1.0)
+        return np.diag(np.where(evals > floor, np.sqrt(evals), 0.0).astype(complex))
+    return _eigh_positive_factor(mat)
+
+
+def _eigh_positive_factor(mat: np.ndarray) -> np.ndarray:
+    """D for any square complex C through eigh of C^dag C, the reference route."""
+    evals, evecs = np.linalg.eigh(mat.conj().T @ mat)
     floor = _KERNEL_REL_THRESHOLD * max(float(evals[-1]), 1.0)
     roots = np.where(evals > floor, np.sqrt(np.clip(evals, 0.0, None)), 0.0)
     return (evecs * roots) @ evecs.conj().T
@@ -167,6 +186,16 @@ def su2_shift_E(j: float) -> np.ndarray:
 
 
 def unitarity_residual(mat: np.ndarray) -> float:
+    """Largest entry modulus of E^dag E - 1.
+
+    A monomial E (one nonzero v_k per row and column) has E^dag E = diag(|v_k|^2),
+    so its residual is max | |v_k|^2 - 1 |, read off the nonzeros in O(d).
+    Any other input is multiplied out.
+    """
+    columns = _monomial_columns(mat)
+    if columns is not None:
+        vals = columns[1]
+        return float(np.max(np.abs(vals.real**2 + vals.imag**2 - 1.0)))
     eye = np.eye(mat.shape[0])
     return float(np.max(np.abs(mat.conj().T @ mat - eye)))
 
@@ -174,15 +203,88 @@ def unitarity_residual(mat: np.ndarray) -> float:
 def phase_hermitian(unitary: np.ndarray) -> np.ndarray:
     """Hermitian phase matrix phi with exp(i phi) equal to the given unitary.
 
-    Eigenphases are taken in (-pi, pi].  The Schur route diagonalizes the
-    normal input unitarily, so degenerate eigenvalues need no special care.
-    Schur may return the angle -pi for an eigenvalue -1, depending on
-    rounding; angles within 1e-9 of -pi are snapped to +pi.  Rejects
-    non-unitary input: complete the polar factor first.
+    Eigenphases are taken in (-pi, pi].  A monomial unitary, such as every
+    completed E, splits into cycles; each cycle's block of phi is built
+    exactly from its eigenphases (see `_cycle_phase`); when the cycle product
+    is +1 or -1, as for every signed permutation, an eigenvalue -1 gets +pi by
+    construction.  Any other unitary goes through Schur (see `_schur_phase`),
+    the only route that snaps -pi to +pi.  Rejects non-unitary input:
+    complete the polar factor first.
     """
     unitary = np.asarray(unitary, dtype=complex)
     if unitarity_residual(unitary) > _UNITARITY_TOL:
         raise ValueError("input is not unitary; polar completion required first")
+    columns = _monomial_columns(unitary)
+    if columns is None:
+        return _schur_phase(unitary)
+    rows, vals = columns
+    phi = np.zeros_like(unitary)
+    for cycle in _cycles(rows):
+        block = np.ix_(cycle, cycle)
+        phi[block], rebuilt = _cycle_phase(vals[cycle])
+        if np.max(np.abs(rebuilt - unitary[block])) > 1e-10:
+            raise RuntimeError("matrix logarithm failed to reproduce the unitary")
+    return phi
+
+
+def _cycles(rows: np.ndarray) -> list[np.ndarray]:
+    """Cycles k_0 -> rows[k_0] -> ... of the permutation taking column k to row rows[k]."""
+    rows = rows.tolist()
+    seen = [False] * len(rows)
+    cycles = []
+    for start in range(len(rows)):
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = rows[k]
+        if cycle:
+            cycles.append(np.array(cycle))
+    return cycles
+
+
+def _cycle_phase(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of phi and of exp(i phi) on one cycle of a monomial unitary.
+
+    The unitary takes basis vector k_t to vals[t] k_{t+1} (indices mod L).
+    With prefix products P_t = vals[0] ... vals[t-1], the vectors P_t k_t turn
+    the cycle into a shift whose wrap is the cycle product p.  Its
+    eigenphases theta_m, the L values with L theta_m = arg p mod 2 pi, are
+    folded into (-pi, pi], and the block is the twisted circulant
+    phi[a, b] = P_a conj(P_b) g(a - b) with g(r) = (1/L) sum_m theta_m
+    exp(-i theta_m r); exp(i phi) uses exp(i theta_m) in place of theta_m.
+    When p is exactly +1 or -1, theta_m = pi q / L with integer q in (-L, L],
+    so an eigenvalue -1 reads +pi whatever the sign of zero in p.  Otherwise
+    theta_m comes from arg p, read as +pi when it rounds to -pi; no angle is
+    snapped, so the block reproduces the cycle to rounding.
+    """
+    size = len(vals)
+    prefix = np.concatenate(([1.0 + 0.0j], np.cumprod(vals[:-1])))
+    p = prefix[-1] * vals[-1]
+    m = np.arange(size)
+    if p.imag == 0 and abs(p.real) == 1:
+        q = 2 * m + (p.real < 0)
+        theta = np.pi * (np.where(q > size, q - 2 * size, q) / size)
+    else:
+        arg = np.angle(p)
+        theta = ((np.pi if arg <= -np.pi else arg) + 2 * np.pi * m) / size
+        theta[theta > np.pi] -= 2 * np.pi
+    waves = np.exp(-1j * np.multiply.outer(np.arange(1 - size, size), theta)) / size
+    lag = np.subtract.outer(m, m) + size - 1
+    twist = np.multiply.outer(prefix, prefix.conj())
+    phi = twist * (waves @ theta)[lag]
+    rebuilt = twist * (waves @ np.exp(1j * theta))[lag]
+    return 0.5 * (phi + phi.conj().T), rebuilt
+
+
+def _schur_phase(unitary: np.ndarray) -> np.ndarray:
+    """phi for any unitary through its complex Schur form, the reference route.
+
+    Schur diagonalizes the normal input unitarily, so degenerate eigenvalues
+    need no special care.  It may return the angle -pi for an eigenvalue -1,
+    depending on rounding; angles within 1e-9 of -pi are snapped to +pi.
+    """
     tmat, zmat = scipy.linalg.schur(unitary, output="complex")
     angles = np.angle(np.diag(tmat))
     angles[angles <= -np.pi + 1e-9] = np.pi
@@ -217,16 +319,18 @@ def d_identity_residual(lam: int) -> float:
     return residual
 
 
-def _monomial_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row index and value of the single nonzero in each column of a monomial matrix."""
-    if mat.ndim != 2:
-        raise ValueError(f"group commutator needs matrices, got shape {mat.shape}")
+def _monomial_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row index and value of the single nonzero in each column, or None.
+
+    None means mat is not a monomial matrix: it is not 2-D, or some row or
+    column does not hold exactly one nonzero.
+    """
     nonzero = mat != 0
+    if nonzero.ndim != 2:
+        return None
     for axis in (0, 1):
         if np.any(np.count_nonzero(nonzero, axis=axis) != 1):
-            raise ValueError(
-                "group commutator needs monomial matrices, one nonzero per row and column"
-            )
+            return None
     rows = np.argmax(nonzero, axis=0)
     return rows, mat[rows, np.arange(len(rows))]
 
@@ -264,7 +368,12 @@ def group_commutator(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     if ea.shape != eb.shape:
         raise ValueError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
-    rows, vals = _commutator_columns(_monomial_columns(ea), _monomial_columns(eb))
+    a, b = _monomial_columns(ea), _monomial_columns(eb)
+    if a is None or b is None:
+        raise ValueError(
+            "group commutator needs monomial matrices, one nonzero per row and column"
+        )
+    rows, vals = _commutator_columns(a, b)
     d = len(rows)
     u = np.zeros((d, d), dtype=vals.dtype)
     u[rows, np.arange(d)] = vals

@@ -62,6 +62,51 @@ def monomial_pairs(draw):
     return draw(monomials(d)), draw(monomials(d))
 
 
+#: Every (n, lam) with n <= 5 and lam <= 6.
+SMALL_IRREPS = [(n, lam) for n in range(2, 6) for lam in range(7)]
+
+
+def ladder_roots(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def dense_unitarity_residual(mat):
+    """Oracle: the largest entry of |E^dag E - 1| from the dense product."""
+    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+
+
+@st.composite
+def monomial_unitaries(draw):
+    """Completions (n <= 5, lam <= 6, any root, both conventions), random unit-modulus
+    monomials, single long cycles, d = 1 and the identity."""
+    kind = draw(st.sampled_from(["completion", "monomial", "long cycle", "d = 1", "identity"]))
+    if kind == "completion":
+        n, lam = draw(st.sampled_from(SMALL_IRREPS))
+        root = draw(st.sampled_from(ladder_roots(n)))
+        convention = draw(st.sampled_from(["plus", "paper-sign"]))
+        return phases.su2_invariant_completion(bs.enumerate_basis(n, lam), root, convention)
+    if kind == "monomial":
+        return draw(st.integers(1, 12).flatmap(monomials))
+    if kind == "long cycle":
+        return phases.su2_shift_E(draw(st.integers(0, 80)) / 2)
+    if kind == "d = 1":
+        return draw(monomials(1))
+    return np.eye(draw(st.integers(1, 12)), dtype=complex)
+
+
+def spy(monkeypatch, name):
+    """Count the calls of the private phases helper `name`, which still runs."""
+    calls = []
+    original = getattr(phases, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(phases, name, counted)
+    return calls
+
+
 class TestPositiveFactor:
     def test_fundamental_d12(self):
         b = bs.enumerate_basis(3, 1)
@@ -79,6 +124,40 @@ class TestPositiveFactor:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             phases.positive_factor(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
+    def test_ladders_match_the_eigh_route_bit_for_bit(self, n, lam):
+        b = bs.enumerate_basis(n, lam)
+        for root in ladder_roots(n):
+            c = generator_matrix(b, *root)
+            got = phases.positive_factor(c).view(np.uint64)
+            assert np.array_equal(got, phases._eigh_positive_factor(c).view(np.uint64))
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_disjoint_supports_give_the_gram_root(self, d, seed):
+        # one nonzero per row, several per column, and some columns empty
+        rng = np.random.default_rng(seed)
+        mat = np.zeros((d, d), dtype=complex)
+        values = rng.normal(size=d) + 1j * rng.normal(size=d)
+        mat[np.arange(d), rng.integers(0, max(d // 2, 1), d)] = values
+        dmat = phases.positive_factor(mat)
+        assert np.array_equal(dmat, np.diag(np.diag(dmat)))
+        assert np.max(np.abs(dmat - phases._eigh_positive_factor(mat))) < 1e-12
+        assert np.max(np.abs(dmat @ dmat - mat.conj().T @ mat)) < 1e-12
+
+    def test_dense_input_goes_through_eigh(self, monkeypatch):
+        calls = spy(monkeypatch, "_eigh_positive_factor")
+        phases.positive_factor(generator_matrix(bs.enumerate_basis(3, 4), 1, 2))
+        assert calls == []
+        rng = np.random.default_rng(7)
+        dense = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        two_in_a_row = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        two_in_a_row[0, 2] = 1j
+        for mat in (dense, two_in_a_row):
+            dmat = phases.positive_factor(mat)
+            assert np.max(np.abs(dmat @ dmat - mat.conj().T @ mat)) < 1e-12
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("lam", range(7))
     def test_commutes_with_cartans(self, lam):
@@ -196,6 +275,39 @@ class TestComplementaryConvention:
             phases.polar_decompose(bs.enumerate_basis(3, 1), (1, 2), convention, angle)
 
 
+class TestUnitarityResidual:
+    @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
+    def test_signed_permutations_give_the_dense_value(self, n, lam):
+        b = bs.enumerate_basis(n, lam)
+        for root in ladder_roots(n):
+            for convention in ("plus", "paper-sign"):
+                e = phases.su2_invariant_completion(b, root, convention)
+                assert phases.unitarity_residual(e) == dense_unitarity_residual(e) == 0.0
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    @pytest.mark.parametrize("family", [pauli.complementary_E12, pauli.complementary_E23])
+    def test_lattice_complementary_gives_the_dense_value(self, family, k):
+        # the dense value also carries the rounding of the BLAS kernel's products
+        e = family(2 * math.pi * k / 3)
+        assert phases.unitarity_residual(e) == pytest.approx(
+            dense_unitarity_residual(e), abs=np.finfo(float).eps
+        )
+
+    def test_monomial_reads_its_entries(self):
+        e = np.diag([1.0, 2.0, -1.0]).astype(complex)[:, [2, 0, 1]]
+        assert phases.unitarity_residual(e) == 3.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_other_input_uses_the_dense_product(self, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        assert phases.unitarity_residual(q) == dense_unitarity_residual(q)
+
+    def test_two_nonzeros_in_a_row_use_the_dense_product(self):
+        shear = np.array([[1, 1], [0, 1]], dtype=complex)
+        assert phases.unitarity_residual(shear) == dense_unitarity_residual(shear) == 1.0
+
+
 class TestShift:
     def test_half_spin(self):
         assert np.array_equal(phases.su2_shift_E(0.5), np.array([[0, 1], [1, 0]]))
@@ -255,6 +367,70 @@ class TestPhaseHermitian:
         c = generator_matrix(bs.enumerate_basis(3, 1), 1, 2)
         with pytest.raises(ValueError, match="polar completion"):
             phases.phase_hermitian(c)
+
+    @settings(deadline=None, max_examples=150)
+    @given(monomial_unitaries())
+    def test_cycle_logarithm_matches_the_schur_route(self, unitary):
+        import scipy.linalg
+
+        phi = phases.phase_hermitian(unitary)
+        assert np.array_equal(phi, phi.conj().T)
+        assert np.max(np.abs(scipy.linalg.expm(1j * phi) - unitary)) < 1e-10
+        spectrum = np.linalg.eigvalsh(phi)
+        assert -math.pi - 1e-12 < spectrum.min() and spectrum.max() <= math.pi + 1e-12
+        if np.all(np.isin(unitary, (-1, 0, 1))):  # cycle products +-1: no -pi at all
+            assert spectrum.min() > -math.pi + 1e-9
+        try:
+            reference = np.linalg.eigvalsh(phases._schur_phase(unitary))
+        except RuntimeError:
+            # Schur's snap moved an eigenvalue within 1e-9 of -1 by more than its
+            # own 1e-10 rebuild tolerance; the cycle route snaps nothing
+            return
+        snapped = np.where(spectrum <= -math.pi + 1e-9, math.pi, spectrum)
+        assert np.max(np.abs(np.sort(snapped) - reference)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "value", [-1.0, complex(-1.0, -0.0), complex(-(1 - 2**-52), -0.0), complex(-1.0, 0.0)]
+    )
+    def test_minus_one_reads_plus_pi_whatever_the_sign_of_zero(self, value):
+        assert phases.phase_hermitian(np.array([[value]], dtype=complex))[0, 0] == math.pi
+
+    @pytest.mark.parametrize("size", range(1, 30))
+    @pytest.mark.parametrize("wrap", [1, -1])
+    def test_signed_cycle_phases_are_exact_multiples_of_pi(self, size, wrap):
+        # The eigenphases are pi q / size for the integers q in (-size, size] of
+        # the wrap's parity, so -1 (q = size) reads +pi.  Computed as
+        # (arg p + 2 pi m) / size, that phase lands just above pi for size 13 with
+        # wrap -1 and size 26 with wrap 1, and folding it would give -pi.
+        e = np.roll(np.eye(size, dtype=complex), 1, axis=0)
+        e[0, -1] = wrap
+        q = np.arange(wrap < 0, 2 * size, 2)
+        q = np.where(q > size, q - 2 * size, q)
+        spectrum = np.sort(np.linalg.eigvalsh(phases.phase_hermitian(e)))
+        assert np.max(np.abs(spectrum - np.sort(math.pi * q / size))) < 1e-12
+
+    def test_non_monomial_unitary_goes_through_schur(self, monkeypatch):
+        import scipy.linalg
+
+        calls = spy(monkeypatch, "_schur_phase")
+        phases.phase_hermitian(phases.su2_shift_E(3))
+        assert calls == []
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        phi = phases.phase_hermitian(q)
+        assert len(calls) == 1
+        assert np.max(np.abs(scipy.linalg.expm(1j * phi) - q)) < 1e-10
+
+    def test_cycle_blocks_are_checked_against_the_unitary(self, monkeypatch):
+        original = phases._cycle_phase
+
+        def off(vals):
+            phi, rebuilt = original(vals)
+            return phi, rebuilt * (1 + 1e-9)
+
+        monkeypatch.setattr(phases, "_cycle_phase", off)
+        with pytest.raises(RuntimeError, match="failed to reproduce"):
+            phases.phase_hermitian(phases.su2_shift_E(2))
 
 
 class TestGroupCommutator:
