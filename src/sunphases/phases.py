@@ -17,7 +17,7 @@ one nonzero per row, so D is diagonal and `positive_factor` needs no
 eigendecomposition.  A completed E is monomial, so `unitarity_residual` reads
 its nonzeros and `phase_hermitian` takes the logarithm cycle by cycle; for a
 signed permutation the (-pi, pi] branch holds by construction, with no snap.
-Other input takes the dense routes, `eigh` and Schur.
+Input of any other shape is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (
     OrderedBasis,
@@ -55,29 +54,21 @@ _FIXED_POINT_TOL = 1e-9
 def positive_factor(mat: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of C^dag C.
 
-    When no row of C holds more than one nonzero, the columns have disjoint
+    C must be square with at most one nonzero per row, as every ladder C_ij
+    (a weighted partial permutation) is.  Its columns then have disjoint
     supports, C^dag C is diagonal, and D is the square root of the squared
-    column norms; every ladder C_ij is such a weighted partial permutation.
-    Any other input goes through an eigendecomposition of C^dag C.  Either
-    way, eigenvalues below _KERNEL_REL_THRESHOLD times max(top eigenvalue, 1)
-    are treated as exact zeros.
+    column norms; squared norms below _KERNEL_REL_THRESHOLD times
+    max(largest, 1) are treated as exact zeros.  Any other input raises
+    ValueError.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"positive factor needs a square matrix, got {mat.shape}")
-    if np.all(np.count_nonzero(mat, axis=1) <= 1):
-        evals = np.sum(mat.real**2 + mat.imag**2, axis=0)
-        floor = _KERNEL_REL_THRESHOLD * max(float(evals.max()), 1.0)
-        return np.diag(np.where(evals > floor, np.sqrt(evals), 0.0).astype(complex))
-    return _eigh_positive_factor(mat)
-
-
-def _eigh_positive_factor(mat: np.ndarray) -> np.ndarray:
-    """D for any square complex C through eigh of C^dag C, the reference route."""
-    evals, evecs = np.linalg.eigh(mat.conj().T @ mat)
-    floor = _KERNEL_REL_THRESHOLD * max(float(evals[-1]), 1.0)
-    roots = np.where(evals > floor, np.sqrt(np.clip(evals, 0.0, None)), 0.0)
-    return (evecs * roots) @ evecs.conj().T
+    if np.any(np.count_nonzero(mat, axis=1) > 1):
+        raise ValueError("positive factor needs at most one nonzero per row")
+    evals = np.sum(mat.real**2 + mat.imag**2, axis=0)
+    floor = _KERNEL_REL_THRESHOLD * max(float(evals.max()), 1.0)
+    return np.diag(np.where(evals > floor, np.sqrt(evals), 0.0).astype(complex))
 
 
 def su2_invariant_completion(
@@ -186,37 +177,35 @@ def su2_shift_E(j: float) -> np.ndarray:
 
 
 def unitarity_residual(mat: np.ndarray) -> float:
-    """Largest entry modulus of E^dag E - 1.
+    """Largest entry modulus of E^dag E - 1 for a monomial E.
 
     A monomial E (one nonzero v_k per row and column) has E^dag E = diag(|v_k|^2),
     so its residual is max | |v_k|^2 - 1 |, read off the nonzeros in O(d).
-    Any other input is multiplied out.
+    Any other input raises ValueError.
     """
     columns = _monomial_columns(mat)
-    if columns is not None:
-        vals = columns[1]
-        return float(np.max(np.abs(vals.real**2 + vals.imag**2 - 1.0)))
-    eye = np.eye(mat.shape[0])
-    return float(np.max(np.abs(mat.conj().T @ mat - eye)))
+    if columns is None:
+        raise ValueError(
+            "unitarity residual needs a monomial matrix, one nonzero per row and column"
+        )
+    vals = columns[1]
+    return float(np.max(np.abs(vals.real**2 + vals.imag**2 - 1.0)))
 
 
 def phase_hermitian(unitary: np.ndarray) -> np.ndarray:
     """Hermitian phase matrix phi with exp(i phi) equal to the given unitary.
 
-    Eigenphases are taken in (-pi, pi].  A monomial unitary, such as every
-    completed E, splits into cycles; each cycle's block of phi is built
-    exactly from its eigenphases (see `_cycle_phase`); when the cycle product
-    is +1 or -1, as for every signed permutation, an eigenvalue -1 gets +pi by
-    construction.  Any other unitary goes through Schur (see `_schur_phase`),
-    the only route that snaps -pi to +pi.  Rejects non-unitary input:
-    complete the polar factor first.
+    The unitary must be monomial, as every completed E is.  It splits into
+    cycles, and each cycle's block of phi is built exactly from its
+    eigenphases in (-pi, pi] (see `_cycle_phase`); when the cycle product is
+    +1 or -1, as for every signed permutation, an eigenvalue -1 gets +pi by
+    construction.  Input that is not monomial, or whose nonzeros are not of
+    unit modulus, raises ValueError: complete the polar factor first.
     """
     unitary = np.asarray(unitary, dtype=complex)
-    if unitarity_residual(unitary) > _UNITARITY_TOL:
-        raise ValueError("input is not unitary; polar completion required first")
     columns = _monomial_columns(unitary)
-    if columns is None:
-        return _schur_phase(unitary)
+    if columns is None or unitarity_residual(unitary) > _UNITARITY_TOL:
+        raise ValueError("input is not a monomial unitary; polar completion required first")
     rows, vals = columns
     phi = np.zeros_like(unitary)
     for cycle in _cycles(rows):
@@ -276,24 +265,6 @@ def _cycle_phase(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi = twist * (waves @ theta)[lag]
     rebuilt = twist * (waves @ np.exp(1j * theta))[lag]
     return 0.5 * (phi + phi.conj().T), rebuilt
-
-
-def _schur_phase(unitary: np.ndarray) -> np.ndarray:
-    """phi for any unitary through its complex Schur form, the reference route.
-
-    Schur diagonalizes the normal input unitarily, so degenerate eigenvalues
-    need no special care.  It may return the angle -pi for an eigenvalue -1,
-    depending on rounding; angles within 1e-9 of -pi are snapped to +pi.
-    """
-    tmat, zmat = scipy.linalg.schur(unitary, output="complex")
-    angles = np.angle(np.diag(tmat))
-    angles[angles <= -np.pi + 1e-9] = np.pi
-    phi = (zmat * angles) @ zmat.conj().T
-    phi = 0.5 * (phi + phi.conj().T)
-    rebuilt = (zmat * np.exp(1j * angles)) @ zmat.conj().T
-    if np.max(np.abs(rebuilt - unitary)) > 1e-10:
-        raise RuntimeError("matrix logarithm failed to reproduce the unitary")
-    return phi
 
 
 def d_identity_residual(lam: int) -> float:

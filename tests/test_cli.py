@@ -1,6 +1,9 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +21,17 @@ def payload(result):
     data = json.loads(result.output)
     data.pop("timestamp", None)
     return data
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy and click are the runtime dependencies; scipy is for the tests only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import sunphases.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestBasis:
