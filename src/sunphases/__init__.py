@@ -22,9 +22,11 @@ from .generators import (
     su2_matrices,
 )
 from .phases import (
+    Monomial,
     NoncommutativityReport,
     PolarFactors,
     decay_fit,
+    exact_raw_norm,
     formula_su3,
     formula_su4,
     group_commutator,

@@ -6,6 +6,11 @@ canonical ordering of that basis, the weights of its states, the partition of
 the basis into su(2) weight strings parallel to a root, and the edge/kernel
 counting used to explain phase-operator non-commutativity.
 
+The basis is one (d, n) integer array of occupations, built level by level
+with no Python loop over states; the string partition is a sort of that array
+and the kernel edges are column tests on it.  State tuples, the state-to-index
+map and the strings as tuples are built only when something reads them.
+
 Everything here is exact integer combinatorics; floats appear only in the
 optional Cartesian embedding of su(3) weights.
 """
@@ -14,6 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 Occupations = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -57,49 +65,61 @@ def check_root(n: int, root: Root) -> Root:
     return (i, j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderedBasis:
     """Canonically ordered occupation basis of the irrep (lam, 0, ..., 0) of su(n).
 
-    States are ordered lexicographically decreasing in (n_1, ..., n_n), so the
-    highest weight state |lam 0 ... 0> comes first.
+    Row k of the (d, n) int64 array `occupations` is state k.  States are
+    ordered lexicographically decreasing in (n_1, ..., n_n), so the highest
+    weight state |lam 0 ... 0> comes first.
     """
 
     n: int
     lam: int
-    states: tuple[Occupations, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {s: k for k, s in enumerate(self.states)}
-        )
+    occupations: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
+
+    @cached_property
+    def states(self) -> tuple[Occupations, ...]:
+        """The states as tuples, built on first use."""
+        # from a list: tuple() of a bare iterator kept memory resident across calls
+        return tuple([tuple(row) for row in self.occupations.tolist()])
+
+    @cached_property
+    def _index(self) -> dict[Occupations, int]:
+        return {s: k for k, s in enumerate(self.states)}
 
     def index(self, state: Occupations) -> int:
         """Position of a state in the canonical order."""
-        return self._index[tuple(state)]  # type: ignore[attr-defined]
+        return self._index[tuple(state)]
 
 
 def enumerate_basis(n: int, lam: int) -> OrderedBasis:
     """Enumerate the occupation basis of (lam, 0, ..., 0) for n boson modes.
 
-    Raises ValueError for n < 2 or negative lam.
+    Each level fans every prefix with r quanta left out into the heads
+    r, r - 1, ..., 0; the last mode takes what is left.  Raises ValueError
+    for n < 2 or negative lam.
     """
     d = dimension(n, lam)
-    states: list[Occupations] = []
-
-    def fill(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            states.append(tuple(prefix + [remaining]))
-            return
-        for head in range(remaining, -1, -1):
-            fill(prefix + [head], remaining - head, slots - 1)
-
-    fill([], lam, n)
-    assert len(states) == d
-    return OrderedBasis(n=n, lam=lam, states=tuple(states))
+    left = np.array([lam], dtype=np.int64)
+    levels = []
+    for _ in range(n - 1):
+        fan = left + 1
+        parent = np.arange(len(left)).repeat(fan)
+        offset = np.arange(len(parent)) - (fan.cumsum() - fan)[parent]
+        levels.append((parent, left[parent] - offset))
+        left = offset
+    occ = np.empty((d, n), dtype=np.int64)
+    occ[:, -1] = left
+    row = np.arange(d)
+    for k in range(n - 2, -1, -1):
+        parent, head = levels[k]
+        occ[:, k] = head[row]
+        row = parent[row]
+    return OrderedBasis(n=n, lam=lam, occupations=occ)
 
 
 def weight_of(state: Occupations) -> Weight:
@@ -130,35 +150,38 @@ def cartesian_embedding(weight: Weight, n: int = 3) -> tuple[float, float]:
     return (x * w1[0] + y * w2[0], x * w1[1] + y * w2[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StringPartition:
     """Partition of a basis into su(2) weight strings parallel to one root.
 
-    Each orbit lists basis indices ordered by increasing n_i, so C_ij acts as
-    the successor map inside an orbit.  Occupations of all modes other than i
-    and j are constant along an orbit.
+    `order` lists the basis indices string by string, each string by
+    increasing n_i, so C_ij acts as the successor map inside a string;
+    string k is order[bounds[k]:bounds[k + 1]].  Occupations of all modes
+    other than i and j are constant along a string.
     """
 
     root: Root
-    orbits: tuple[tuple[int, ...], ...]
+    order: np.ndarray
+    bounds: np.ndarray
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The strings as index tuples, ordered by their first index."""
+        strings = np.split(self.order, self.bounds[1:-1])
+        return tuple(sorted((tuple(s.tolist()) for s in strings), key=lambda s: s[0]))
 
 
 def su2_strings(basis: OrderedBasis, root: Root) -> StringPartition:
-    """Group the basis into su(2)_{ij} strings for the root (i, j)."""
+    """Group the basis into su(2)_{ij} strings for the root (i, j).
+
+    A sort on (frozen occupations, n_i); each string starts at its n_i = 0 state.
+    """
     i, j = check_root(basis.n, root)
-    frozen_modes = [k for k in range(basis.n) if k not in (i - 1, j - 1)]
-
-    groups: dict[Occupations, list[int]] = {}
-    for idx, state in enumerate(basis.states):
-        key = tuple(state[k] for k in frozen_modes)
-        groups.setdefault(key, []).append(idx)
-
-    orbits = []
-    for members in groups.values():
-        members.sort(key=lambda idx: basis.states[idx][i - 1])
-        orbits.append(tuple(members))
-    orbits.sort(key=lambda orbit: orbit[0])
-    return StringPartition(root=(i, j), orbits=tuple(orbits))
+    occ = basis.occupations
+    frozen = [occ[:, k] for k in range(basis.n) if k not in (i - 1, j - 1)]
+    order = np.lexsort([occ[:, i - 1], *frozen])
+    starts = (occ[order, i - 1] == 0).nonzero()[0]
+    return StringPartition(root=(i, j), order=order, bounds=np.append(starts, len(order)))
 
 
 def kernel_states(basis: OrderedBasis, root: Root) -> list[int]:
@@ -166,8 +189,12 @@ def kernel_states(basis: OrderedBasis, root: Root) -> list[int]:
 
     These are the edge states of the weight diagram for this root.
     """
+    return np.flatnonzero(_kernel_mask(basis, root)).tolist()
+
+
+def _kernel_mask(basis: OrderedBasis, root: Root) -> np.ndarray:
     _, j = check_root(basis.n, root)
-    return [k for k, s in enumerate(basis.states) if s[j - 1] == 0]
+    return basis.occupations[:, j - 1] == 0
 
 
 def edge_overlap_count(
@@ -176,6 +203,5 @@ def edge_overlap_count(
     """Cardinalities (|A|, |B|, |A & B|, |A | B|) of two kernel edges."""
     if tuple(root_a) == tuple(root_b):
         raise ValueError("edge overlap needs two distinct roots")
-    a = set(kernel_states(basis, root_a))
-    b = set(kernel_states(basis, root_b))
-    return (len(a), len(b), len(a & b), len(a | b))
+    a, b = _kernel_mask(basis, root_a), _kernel_mask(basis, root_b)
+    return tuple(int(np.count_nonzero(m)) for m in (a, b, a & b, a | b))

@@ -58,6 +58,15 @@ def _basis_bytes(n: int, d: int) -> int:
     return (1250 + 175 * n) * d
 
 
+def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
+    # Peak of one lambda above an idle CLI, measured in process (VmHWM) at two sizes
+    # and taken as the slope between them: 96 bytes per state at n = 2 (lambda =
+    # 200 000 and 600 000), 104 at n = 3 (500 and 1000), 113 at n = 4 (100 and 150),
+    # 122 at n = 5 (30 and 40) and 143 at n = 6 (15 and 20).  The pool holds one
+    # lambda per thread, so in_flight is min(threads, number of lambdas).
+    return lambda n, d: (72 + 12 * n) * d * in_flight
+
+
 # Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two
 # sizes each and taken as the slope between them; --out changes only phases and gens.
 #   phases  485, 276 with --out: the largest over n = 2 (lambda = 600 and 1000, one
@@ -65,7 +74,6 @@ def _basis_bytes(n: int, d: int) -> int:
 #           (347 and 220, lambda = 14 and 18) and n = 5 (412 and 220, lambda = 8, 10)
 #   gens    112 per matrix, 150 + 16 per matrix with --out, for all n^2 - 1 of them
 #           (n = 3, lambda = 40 and 50; n = 4, lambda = 8 to 16)
-#   sweep    72 at its largest lambda                   (n = 3, lambda = 30 and 50)
 #   gamma   243 with --lambda 30 and 50, 251 with --j 500 and 1000
 def _per_entry(nbytes: float) -> Callable[[int, int], int]:
     return lambda n, d: int(nbytes * d * d)
@@ -235,7 +243,7 @@ def cmd_sweep(
     try:
         bs.check_root(n, root_a)
         bs.check_root(n, root_b)
-        _refuse_unfit(n, lam_max, _per_entry(72))
+        _refuse_unfit(n, lam_max, _sweep_bytes(min(threads, lam_max - lam_min + 1)))
         rows = phases.sweep(
             n, lam_min, lam_max, root_a, root_b, convention, threads=threads
         )

@@ -7,10 +7,15 @@ filled here by the SU(2)-invariant cyclic completion: each su(2) weight string
 becomes a cycle, the wrap entry carrying a convention-dependent sign.  On the
 fundamental su(3) irrep the "complementary" convention uses the `pauli` families.
 
-The group commutator of two completed phase operators measures how badly the
-corresponding phases fail to be additive; `noncommutativity_norm` and `sweep`
-quantify this across irreps and compare against the closed-form edge-counting
-predictions.
+A completed E is a `Monomial`: the row index and value of the one nonzero in
+each column.  The group commutator of two of them is composed on those arrays
+and stays one, and `noncommutativity_norm` reads the norm of U - 1 and its
+fixed points off it, so a `sweep` costs O(d) per lambda and holds no d x d
+array.  It measures how badly the corresponding phases fail to be additive;
+`noncommutativity_norm` and `sweep` quantify this across irreps and compare
+against the closed-form edge-counting predictions and `exact_raw_norm`.  Dense
+matrices appear only at the boundary: `polar_decompose` and `su2_shift_E`
+scatter E for the payloads, and `Monomial.from_dense` reads one back.
 
 The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
@@ -22,6 +27,7 @@ Input of any other shape is refused with ValueError.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +39,7 @@ from .basis import (
     OrderedBasis,
     Root,
     check_root,
+    dimension,
     enumerate_basis,
     kernel_states,
     su2_strings,
@@ -48,7 +55,50 @@ _COMPLEMENTARY = {(1, 2): complementary_E12, (2, 3): complementary_E23}
 
 _KERNEL_REL_THRESHOLD = 1e-10
 _UNITARITY_TOL = 1e-10
-_FIXED_POINT_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """A d x d matrix with one nonzero per row and column, held by its columns.
+
+    Column k holds vals[k] at row rows[k]; rows is a permutation of range(d).
+    Products and adjoints stay in this form: XY has rows rows_x[rows_y] and
+    values vals_x[rows_y] * vals_y, and X^dag has the inverse permutation of
+    rows_x as rows and the conjugated values read there.
+    """
+
+    rows: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), len(self.rows))
+
+    @classmethod
+    def from_dense(cls, mat: np.ndarray) -> Monomial:
+        """Read a dense matrix; ValueError unless it has one nonzero per row and column."""
+        mat = np.asarray(mat)
+        nonzero = mat != 0
+        if nonzero.ndim != 2 or any(
+            np.any(np.count_nonzero(nonzero, axis=axis) != 1) for axis in (0, 1)
+        ):
+            raise ValueError("need a monomial matrix, one nonzero per row and column")
+        rows = np.argmax(nonzero, axis=0)
+        return cls(rows, mat[rows, np.arange(len(rows))])
+
+    def dense(self) -> np.ndarray:
+        """The complex d x d matrix."""
+        mat = np.zeros(self.shape, dtype=complex)
+        mat[self.rows, np.arange(len(self.rows))] = self.vals
+        return mat
+
+    def __matmul__(self, other: Monomial) -> Monomial:
+        return Monomial(self.rows[other.rows], self.vals[other.rows] * other.vals)
+
+    def adjoint(self) -> Monomial:
+        rows = np.empty_like(self.rows)
+        rows[self.rows] = np.arange(len(rows))
+        return Monomial(rows, self.vals[rows].conj())
 
 
 def positive_factor(mat: np.ndarray) -> np.ndarray:
@@ -73,29 +123,26 @@ def positive_factor(mat: np.ndarray) -> np.ndarray:
 
 def su2_invariant_completion(
     basis: OrderedBasis, root: Root, convention: str = "plus"
-) -> np.ndarray:
+) -> Monomial:
     """Unitary completion of the phase part of C_ij by cyclic su(2) strings.
 
     On every string (ordered by increasing n_i) the matrix acts as the
     successor map of C_ij; the wrap entry from the top of the string back to
     the bottom carries phase +1 ("plus") or -1 ("paper-sign").  Singleton
     strings get the identity.  Any other convention, "raw" included, raises
-    ValueError.
+    ValueError.  The result is a signed permutation with real values.
     """
     if convention not in _WRAP_PHASE:
         raise ValueError(f"{convention!r} is not one of {tuple(_WRAP_PHASE)}")
-    wrap = _WRAP_PHASE[convention]
-    root = check_root(basis.n, root)
-    d = len(basis)
-    mat = np.zeros((d, d), dtype=complex)
-    for orbit in su2_strings(basis, root).orbits:
-        for pos, idx in enumerate(orbit[:-1]):
-            mat[orbit[pos + 1], idx] = 1.0
-        if len(orbit) == 1:
-            mat[orbit[0], orbit[0]] = 1.0
-        else:
-            mat[orbit[0], orbit[-1]] = wrap
-    return mat
+    strings = su2_strings(basis, root)
+    order, bounds = strings.order, strings.bounds
+    rows = np.empty_like(order)
+    rows[order[:-1]] = order[1:]
+    tops = order[bounds[1:] - 1]
+    rows[tops] = order[bounds[:-1]]
+    vals = np.ones(len(order))
+    vals[tops[bounds[1:] - bounds[:-1] > 1]] = _WRAP_PHASE[convention]
+    return Monomial(rows, vals)
 
 
 @dataclass(frozen=True)
@@ -155,7 +202,7 @@ def polar_decompose(
         inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         emat = cmat * inv[np.newaxis, :]
     elif convention != "complementary":
-        emat = su2_invariant_completion(basis, root, convention)
+        emat = su2_invariant_completion(basis, root, convention).dense()
     return PolarFactors(
         unitary=emat,
         positive=dmat,
@@ -173,7 +220,7 @@ def su2_shift_E(j: float) -> np.ndarray:
     are the (2j+1)-th roots of unity.  It is the plus completion of C_21 on
     the two-mode irrep lambda = 2j, whose single su(2) string is the whole basis.
     """
-    return su2_invariant_completion(enumerate_basis(2, _check_spin(j)), (2, 1))
+    return su2_invariant_completion(enumerate_basis(2, _check_spin(j)), (2, 1)).dense()
 
 
 def unitarity_residual(mat: np.ndarray) -> float:
@@ -183,12 +230,10 @@ def unitarity_residual(mat: np.ndarray) -> float:
     so its residual is max | |v_k|^2 - 1 |, read off the nonzeros in O(d).
     Any other input raises ValueError.
     """
-    columns = _monomial_columns(mat)
-    if columns is None:
-        raise ValueError(
-            "unitarity residual needs a monomial matrix, one nonzero per row and column"
-        )
-    vals = columns[1]
+    return _modulus_defect(Monomial.from_dense(mat).vals)
+
+
+def _modulus_defect(vals: np.ndarray) -> float:
     return float(np.max(np.abs(vals.real**2 + vals.imag**2 - 1.0)))
 
 
@@ -203,14 +248,16 @@ def phase_hermitian(unitary: np.ndarray) -> np.ndarray:
     unit modulus, raises ValueError: complete the polar factor first.
     """
     unitary = np.asarray(unitary, dtype=complex)
-    columns = _monomial_columns(unitary)
-    if columns is None or unitarity_residual(unitary) > _UNITARITY_TOL:
+    try:
+        e = Monomial.from_dense(unitary)
+    except ValueError:
+        e = None
+    if e is None or _modulus_defect(e.vals) > _UNITARITY_TOL:
         raise ValueError("input is not a monomial unitary; polar completion required first")
-    rows, vals = columns
     phi = np.zeros_like(unitary)
-    for cycle in _cycles(rows):
+    for cycle in _cycles(e.rows):
         block = np.ix_(cycle, cycle)
-        phi[block], rebuilt = _cycle_phase(vals[cycle])
+        phi[block], rebuilt = _cycle_phase(e.vals[cycle])
         if np.max(np.abs(rebuilt - unitary[block])) > 1e-10:
             raise RuntimeError("matrix logarithm failed to reproduce the unitary")
     return phi
@@ -290,70 +337,28 @@ def d_identity_residual(lam: int) -> float:
     return residual
 
 
-def _monomial_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row index and value of the single nonzero in each column, or None.
+def group_commutator(
+    a: Monomial | np.ndarray, b: Monomial | np.ndarray
+) -> Monomial | tuple[np.ndarray, np.ndarray]:
+    """Group commutator U = A B A^dag B^dag of two monomial matrices.
 
-    None means mat is not a monomial matrix: it is not 2-D, or some row or
-    column does not hold exactly one nonzero.
+    Given two `Monomial`s, such as the signed permutations
+    `su2_invariant_completion` returns, U is composed on their index and
+    value arrays in O(d), with no matrix product and no d x d array, and is
+    returned as a `Monomial` too.  Dense input, as the payloads hold it, is
+    read with `Monomial.from_dense` (ValueError unless monomial) and gives
+    the dense pair (U, U - 1).  Raises ValueError for inputs of different
+    shapes.
     """
-    nonzero = mat != 0
-    if nonzero.ndim != 2:
-        return None
-    for axis in (0, 1):
-        if np.any(np.count_nonzero(nonzero, axis=axis) != 1):
-            return None
-    rows = np.argmax(nonzero, axis=0)
-    return rows, mat[rows, np.arange(len(rows))]
-
-
-def _commutator_columns(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (rows, vals) of U = A B A^dag B^dag for monomial A and B given by columns.
-
-    Column k of a monomial X holds vals[k] at row rows[k].  XY then has rows
-    rows_x[rows_y] and values vals_x[rows_y] * vals_y; X^dag has the inverse
-    permutation of rows_x as rows and the conjugated values read there.
-    """
-
-    def compose(x, y):
-        return x[0][y[0]], x[1][y[0]] * y[1]
-
-    def adjoint(x):
-        rows = np.empty_like(x[0])
-        rows[x[0]] = np.arange(len(rows))
-        return rows, x[1][rows].conj()
-
-    return compose(compose(compose(a, b), adjoint(a)), adjoint(b))
-
-
-def group_commutator(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group commutator U = Ea Eb Ea^dag Eb^dag and its defect M = U - 1.
-
-    Both inputs must be monomial matrices (exactly one nonzero in every row
-    and column), such as the signed permutations `su2_invariant_completion`
-    returns, whose inverse is their adjoint.  U is composed from the
-    nonzeros of each column in O(d), with no matrix product, and scattered
-    into a dense d x d matrix.  Raises ValueError for inputs of different
-    shapes, non-square inputs and any input that is not monomial.
-    """
-    if ea.shape != eb.shape:
-        raise ValueError(f"dimension mismatch: {ea.shape} vs {eb.shape}")
-    a, b = _monomial_columns(ea), _monomial_columns(eb)
-    if a is None or b is None:
-        raise ValueError(
-            "group commutator needs monomial matrices, one nonzero per row and column"
-        )
-    rows, vals = _commutator_columns(a, b)
-    d = len(rows)
-    u = np.zeros((d, d), dtype=vals.dtype)
-    u[rows, np.arange(d)] = vals
-    return u, u - np.eye(d)
-
-
-def _fixed_point_count(m: np.ndarray) -> int:
-    """Columns of the defect M = U - 1 with no entry of modulus 1e-9 or more."""
-    return int(np.count_nonzero(np.max(np.abs(m), axis=0) < _FIXED_POINT_TOL))
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    dense = not (isinstance(a, Monomial) and isinstance(b, Monomial))
+    a, b = (x if isinstance(x, Monomial) else Monomial.from_dense(x) for x in (a, b))
+    u = a @ b @ a.adjoint() @ b.adjoint()
+    if not dense:
+        return u
+    u = u.dense()
+    return u, u - np.eye(len(u))
 
 
 @dataclass(frozen=True)
@@ -362,7 +367,8 @@ class NoncommutativityReport:
 
     raw_norm is ||M||^2 = Tr(M^dag M) for M = U - 1 with U the group
     commutator of the two completed phase operators; normalized_norm divides
-    by the irrep dimension.  formula_value carries the closed-form prediction
+    by the irrep dimension, and fixed_point_count counts the basis states
+    that U leaves unchanged.  formula_value carries the closed-form prediction
     when one applies to (n, roots), else None.
     """
 
@@ -377,7 +383,11 @@ class NoncommutativityReport:
 
 
 def formula_su3(lam: int) -> Fraction:
-    """Closed-form normalized ||M||^2 for su(3): 2[2(lam+1)-1] / (dim)."""
+    """Closed-form normalized ||M||^2 for su(3): 2[2(lam+1)-1] / (dim).
+
+    It gives 2 at lam = 0, where the single state is fixed and the true norm
+    is 0 (see `exact_raw_norm`); for lam >= 1 it equals 2(2 lam + 1) / dim.
+    """
     if lam < 0:
         raise ValueError("lam must be non-negative")
     return Fraction(4 * (2 * lam + 1), (lam + 1) * (lam + 2))
@@ -401,6 +411,27 @@ def _formula_for(n: int, root_a: Root, root_b: Root, lam: int) -> Fraction | Non
     return None
 
 
+def exact_raw_norm(n: int, lam: int, root_a: Root, root_b: Root) -> int:
+    """Exact ||U - 1||^2 for the completed phase operators of two roots, either convention.
+
+    For lam >= 1 and roots sharing exactly one mode it is
+    2 [C(lam+n-2, n-2) + C(lam+n-3, n-2) - C(lam+n-4, n-4)], with C(., k) = 0
+    for k < 0: 2(2 lam + 1) for su(3) and 2 lam (lam + 2) for su(4), so the
+    normalized norm decays as 4(n-1)/lam at every rank.  Every other pair,
+    and lam = 0, gives 0.  The law was found by enumeration and is checked
+    against the array and dense routes by the tests; it is not derived here.
+    """
+    dimension(n, lam)
+    shared = set(check_root(n, root_a)) & set(check_root(n, root_b))
+    if lam == 0 or len(shared) != 1:
+        return 0
+
+    def comb(top: int, k: int) -> int:
+        return math.comb(top, k) if k >= 0 else 0
+
+    return 2 * (comb(lam + n - 2, n - 2) + comb(lam + n - 3, n - 2) - comb(lam + n - 4, n - 4))
+
+
 def noncommutativity_norm(
     n: int,
     lam: int,
@@ -410,10 +441,11 @@ def noncommutativity_norm(
 ) -> NoncommutativityReport:
     """Build both phase operators and quantify their failure to commute."""
     basis = enumerate_basis(n, lam)
-    ea = su2_invariant_completion(basis, root_a, convention)
-    eb = su2_invariant_completion(basis, root_b, convention)
-    _, m = group_commutator(ea, eb)
-    raw = float(np.vdot(m, m).real)
+    u = group_commutator(
+        su2_invariant_completion(basis, root_a, convention),
+        su2_invariant_completion(basis, root_b, convention),
+    )
+    raw, fixed = _defect(u)
     d = len(basis)
     return NoncommutativityReport(
         n=n,
@@ -422,9 +454,24 @@ def noncommutativity_norm(
         raw_norm=raw,
         normalized_norm=raw / d,
         formula_value=_formula_for(n, root_a, root_b, lam),
-        fixed_point_count=_fixed_point_count(m),
+        fixed_point_count=fixed,
         convention=convention,
     )
+
+
+def _defect(u: Monomial) -> tuple[float, int]:
+    """||U - 1||^2 and the number of basis states U leaves unchanged.
+
+    Column k of M = U - 1 holds v_k - 1 at row k when U fixes k, else v_k and
+    -1 in two rows, so ||M||^2 sums |v_k - 1|^2 over the fixed columns and
+    |v_k|^2 + 1 over the moved ones: for signed permutations the exact integer
+    2 (moved) + 4 (fixed with sign -1).  A state is unchanged when its column
+    is fixed with v_k exactly 1.
+    """
+    fixed = u.rows == np.arange(len(u.rows))
+    moved_vals, fixed_vals = u.vals[~fixed], u.vals[fixed]
+    raw = np.sum(np.abs(moved_vals) ** 2 + 1.0) + np.sum(np.abs(fixed_vals - 1.0) ** 2)
+    return float(raw), int(np.count_nonzero(fixed_vals == 1))
 
 
 def sweep(

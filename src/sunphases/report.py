@@ -124,6 +124,9 @@ def dumps(payload: dict[str, Any]) -> str:
     for before, mat, after in zip(pieces, matrices, pieces[1:]):
         pad = re.match(" *", before[before.rfind("\n") + 1 :]).group()
         out += [matrix_payload(mat, pad), after]
+    # json's indenting encoder keeps the hook in a reference cycle of closures that
+    # only the cyclic collector frees; emptying the list releases the matrices now.
+    matrices.clear()
     return "".join([*out, "\n"])
 
 

@@ -93,8 +93,8 @@ def test_criterion_02_su3_norm_formula():
 
 def test_criterion_03_fundamental_explicit_solutions():
     b = bs.enumerate_basis(3, 1)
-    e12 = phases.su2_invariant_completion(b, (1, 2), "paper-sign")
-    e23 = phases.su2_invariant_completion(b, (2, 3), "paper-sign")
+    e12 = phases.su2_invariant_completion(b, (1, 2), "paper-sign").dense()
+    e23 = phases.su2_invariant_completion(b, (2, 3), "paper-sign").dense()
     exact = np.array_equal(
         e12, np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
     ) and np.array_equal(e23, np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]]))

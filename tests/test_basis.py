@@ -1,8 +1,50 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunphases import basis as bs
+
+
+def fill_states(n, lam):
+    """Oracle: the occupation states by recursive descent, heads descending."""
+    states = []
+
+    def fill(prefix, remaining, slots):
+        if slots == 1:
+            states.append(tuple(prefix + [remaining]))
+            return
+        for head in range(remaining, -1, -1):
+            fill(prefix + [head], remaining - head, slots - 1)
+
+    fill([], lam, n)
+    return tuple(states)
+
+
+def grouped_strings(b, root):
+    """Oracle: the su(2) strings by grouping states on their frozen occupations in
+    a dict, members by increasing n_i and strings by first index."""
+    i, j = root
+    groups = {}
+    for idx, state in enumerate(b.states):
+        key = tuple(v for k, v in enumerate(state) if k not in (i - 1, j - 1))
+        groups.setdefault(key, []).append(idx)
+    orbits = [tuple(sorted(m, key=lambda idx: b.states[idx][i - 1])) for m in groups.values()]
+    return tuple(sorted(orbits, key=lambda orbit: orbit[0]))
+
+
+#: Largest lambda drawn per n, keeping d at or below 462.
+LAM_MAX = {2: 12, 3: 12, 4: 8, 5: 6, 6: 5}
+
+
+@st.composite
+def irreps_and_roots(draw):
+    n = draw(st.integers(2, 6))
+    lam = draw(st.integers(0, LAM_MAX[n]))
+    root = draw(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda r: r[0] != r[1]))
+    return n, lam, root
 
 
 def test_fundamental_su3_order():
@@ -87,6 +129,47 @@ def test_strings_su4_fundamental_root31():
     assert ((1, 0, 0, 0), (0, 0, 1, 0)) in named
     assert ((0, 1, 0, 0),) in named
     assert ((0, 0, 0, 1),) in named
+
+
+@settings(deadline=None, max_examples=150)
+@given(irreps_and_roots())
+def test_array_basis_matches_the_recursive_oracle(case):
+    n, lam, _ = case
+    b = bs.enumerate_basis(n, lam)
+    want = fill_states(n, lam)
+    assert b.occupations.shape == (len(want), n)
+    assert b.occupations.dtype == np.int64
+    assert b.states == want
+    assert [b.index(s) for s in want] == list(range(len(want)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(irreps_and_roots())
+def test_strings_and_kernel_match_the_grouping_oracle(case):
+    n, lam, root = case
+    b = bs.enumerate_basis(n, lam)
+    part = bs.su2_strings(b, root)
+    assert part.orbits == grouped_strings(b, root)
+    # the grouped order holds every string contiguously, each by increasing n_i
+    assert sorted(part.order.tolist()) == list(range(len(b)))
+    assert sorted(
+        tuple(part.order[lo:hi].tolist()) for lo, hi in zip(part.bounds, part.bounds[1:])
+    ) == sorted(part.orbits)
+    assert bs.kernel_states(b, root) == [k for k, s in enumerate(b.states) if s[root[1] - 1] == 0]
+
+
+@settings(deadline=None, max_examples=100)
+@given(irreps_and_roots(), st.data())
+def test_edge_overlap_matches_the_set_oracle(case, data):
+    n, lam, root_a = case
+    root_b = data.draw(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+            lambda r: r[0] != r[1] and r != root_a
+        )
+    )
+    b = bs.enumerate_basis(n, lam)
+    a, c = set(bs.kernel_states(b, root_a)), set(bs.kernel_states(b, root_b))
+    assert bs.edge_overlap_count(b, root_a, root_b) == (len(a), len(c), len(a & c), len(a | c))
 
 
 def brute_force_strings(b, root):

@@ -280,7 +280,8 @@ class TestGamma:
 
 class TestMemoryGuard:
     """With 1 MiB of memory, no matrix command fits an irrep of dimension 401 or
-    more, and a `basis` payload past about 590 states (n = 3) does not fit."""
+    more, a `sweep` past about 9 700 states (n = 3) does not fit, and neither
+    does a `basis` payload past about 590 states (n = 3)."""
 
     @pytest.fixture(autouse=True)
     def one_mebibyte(self, monkeypatch):
@@ -291,7 +292,7 @@ class TestMemoryGuard:
         [
             ["phases", "--n", "3", "--lambda", "40"],
             ["gens", "--n", "3", "--lambda", "40"],
-            ["sweep", "--n", "3", "--from", "1", "--to", "40"],
+            ["sweep", "--n", "3", "--from", "1", "--to", "200"],
             ["gamma", "--j", "200"],
             ["gamma", "--lambda", "40"],
             ["basis", "--n", "3", "--lambda", "40"],
@@ -325,10 +326,6 @@ class TestMatrixCommandCost:
         [
             (["phases", "--n", "3", "--lambda", "10"], ["phases", "--n", "3", "--lambda", "1"]),
             (["gens", "--n", "3", "--lambda", "10"], ["gens", "--n", "3", "--lambda", "1"]),
-            (
-                ["sweep", "--n", "3", "--from", "1", "--to", "10"],
-                ["sweep", "--n", "3", "--from", "1", "--to", "1"],
-            ),
             (["gamma", "--lambda", "10"], ["gamma", "--lambda", "1"]),
             (["gamma", "--j", "32.5"], ["gamma", "--j", "1"]),
         ],
@@ -339,6 +336,42 @@ class TestMatrixCommandCost:
         assert result.exit_code == 2
         assert "physical memory" in result.output
         assert runner.invoke(main, fit + extra).exit_code == 0
+
+
+class TestSweepStateCost:
+    """`sweep` holds no d x d array: it needs (72 + 12 n) bytes per state of its
+    largest lambda for each lambda in flight.  Given exactly that much memory for
+    one lambda, it runs that lambda and refuses the next one, or two at once."""
+
+    @pytest.fixture(params=[(3, 100), (4, 30)])
+    def irrep(self, request, monkeypatch):
+        n, lam = request.param
+        need = (72 + 12 * n) * math.comb(lam + n - 1, n - 1)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        return n, lam
+
+    @staticmethod
+    def sweep(runner, n, lam_min, lam_max, threads):
+        args = ["sweep", "--n", str(n), "--from", str(lam_min), "--to", str(lam_max)]
+        return runner.invoke(main, args + ["--threads", str(threads)])
+
+    def test_runs_at_the_measured_cost(self, runner, irrep):
+        n, lam = irrep
+        assert self.sweep(runner, n, lam - 1, lam, 1).exit_code == 0
+        assert self.sweep(runner, n, lam, lam, 2).exit_code == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_refuses_one_lambda_more(self, runner, irrep, threads):
+        n, lam = irrep
+        result = self.sweep(runner, n, lam + 1, lam + 1, threads)
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
+
+    def test_two_threads_hold_two_lambdas(self, runner, irrep):
+        n, lam = irrep
+        result = self.sweep(runner, n, lam - 1, lam, 2)
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
 
 
 class TestVerify:

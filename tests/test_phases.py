@@ -10,20 +10,31 @@ from hypothesis import strategies as st
 from sunphases import basis as bs
 from sunphases import pauli, phases
 from sunphases.generators import cartan_matrix, generator_matrix
+from sunphases.phases import Monomial
 
 E12_SIGNED = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=complex)
 E23_SIGNED = np.array([[1, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=complex)
 
 
 def permutation_of(basis, root, convention="plus"):
-    """Oracle: the completion as a pure-python permutation with signs."""
+    """Oracle: the completion as a pure-python permutation with signs, state by state.
+
+    A state with n_j > 0 goes to the one with n_i + 1, n_j - 1; a state with
+    n_j = 0 wraps to the bottom of its string, n_i <- 0 and n_j <- n_i, with
+    the wrap sign unless it is a singleton.
+    """
+    i, j = root
     wrap = 1 if convention == "plus" else -1
     perm = {}
     sign = {}
-    for orbit in bs.su2_strings(basis, root).orbits:
-        for pos, idx in enumerate(orbit):
-            perm[idx] = orbit[(pos + 1) % len(orbit)]
-            sign[idx] = wrap if (pos == len(orbit) - 1 and len(orbit) > 1) else 1
+    for idx, state in enumerate(basis.states):
+        image = list(state)
+        if state[j - 1] > 0:
+            image[i - 1], image[j - 1] = state[i - 1] + 1, state[j - 1] - 1
+        else:
+            image[i - 1], image[j - 1] = 0, state[i - 1]
+        perm[idx] = basis.index(image)
+        sign[idx] = wrap if state[j - 1] == 0 and state[i - 1] > 0 else 1
     return perm, sign
 
 
@@ -85,7 +96,7 @@ def monomial_unitaries(draw):
         n, lam = draw(st.sampled_from(SMALL_IRREPS))
         root = draw(st.sampled_from(ladder_roots(n)))
         convention = draw(st.sampled_from(["plus", "paper-sign"]))
-        return phases.su2_invariant_completion(bs.enumerate_basis(n, lam), root, convention)
+        return phases.su2_invariant_completion(bs.enumerate_basis(n, lam), root, convention).dense()
     if kind == "monomial":
         return draw(st.integers(1, 12).flatmap(monomials))
     if kind == "long cycle":
@@ -192,17 +203,17 @@ class TestPositiveFactor:
 class TestCompletion:
     def test_paper_sign_root12(self):
         b = bs.enumerate_basis(3, 1)
-        e = phases.su2_invariant_completion(b, (1, 2), "paper-sign")
+        e = phases.su2_invariant_completion(b, (1, 2), "paper-sign").dense()
         assert np.array_equal(e, E12_SIGNED)
 
     def test_paper_sign_root23(self):
         b = bs.enumerate_basis(3, 1)
-        e = phases.su2_invariant_completion(b, (2, 3), "paper-sign")
+        e = phases.su2_invariant_completion(b, (2, 3), "paper-sign").dense()
         assert np.array_equal(e, E23_SIGNED)
 
     def test_plus_convention_lambda2_permutation(self):
         b = bs.enumerate_basis(3, 2)
-        e = phases.su2_invariant_completion(b, (1, 2), "plus")
+        e = phases.su2_invariant_completion(b, (1, 2), "plus").dense()
         cycle = [(0, 2, 0), (1, 1, 0), (2, 0, 0), (0, 2, 0)]
         for src, dst in zip(cycle, cycle[1:]):
             assert e[b.index(dst), b.index(src)] == 1
@@ -234,8 +245,8 @@ class TestCompletion:
 
     def test_conventions_differ_by_diagonal_signs(self):
         b = bs.enumerate_basis(3, 4)
-        plus = phases.su2_invariant_completion(b, (1, 2), "plus")
-        signed = phases.su2_invariant_completion(b, (1, 2), "paper-sign")
+        plus = phases.su2_invariant_completion(b, (1, 2), "plus").dense()
+        signed = phases.su2_invariant_completion(b, (1, 2), "paper-sign").dense()
         assert np.array_equal(plus != 0, signed != 0)  # same permutation support
         ratio = signed[plus != 0] / plus[plus != 0]
         assert set(np.round(np.real(ratio)).astype(int)) <= {1, -1}
@@ -244,7 +255,7 @@ class TestCompletion:
     def test_string_power_identity(self):
         b = bs.enumerate_basis(3, 3)
         for convention, wrap in [("plus", 1), ("paper-sign", -1)]:
-            e = phases.su2_invariant_completion(b, (1, 2), convention)
+            e = phases.su2_invariant_completion(b, (1, 2), convention).dense()
             for orbit in bs.su2_strings(b, (1, 2)).orbits:
                 block = e[np.ix_(orbit, orbit)]
                 power = np.linalg.matrix_power(block, len(orbit))
@@ -301,7 +312,7 @@ class TestUnitarityResidual:
         b = bs.enumerate_basis(n, lam)
         for root in ladder_roots(n):
             for convention in ("plus", "paper-sign"):
-                e = phases.su2_invariant_completion(b, root, convention)
+                e = phases.su2_invariant_completion(b, root, convention).dense()
                 assert phases.unitarity_residual(e) == dense_unitarity_residual(e) == 0.0
 
     @pytest.mark.parametrize("k", range(-3, 4))
@@ -367,7 +378,7 @@ class TestPhaseHermitian:
         )
 
     def test_exponential_round_trip(self):
-        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 3), (3, 1), "plus")
+        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 3), (3, 1), "plus").dense()
         phi = phases.phase_hermitian(e)
         assert np.max(np.abs(phi - phi.conj().T)) < 1e-13
         assert np.max(np.abs(scipy.linalg.expm(1j * phi) - e)) < 1e-10
@@ -377,7 +388,7 @@ class TestPhaseHermitian:
     def test_eigenphases_in_principal_branch(self, root, convention):
         # even strings (plus) and odd strings (paper-sign) give the eigenvalue -1,
         # whose phase is +pi
-        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 6), root, convention)
+        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 6), root, convention).dense()
         phi = phases.phase_hermitian(e)
         assert np.linalg.eigvalsh(phi).min() > -math.pi + 1e-9
         assert np.max(np.abs(scipy.linalg.expm(1j * phi) - e)) < 1e-10
@@ -454,18 +465,17 @@ class TestGroupCommutator:
         b = bs.enumerate_basis(n, lam)
         ea = phases.su2_invariant_completion(b, root_a, convention)
         eb = phases.su2_invariant_completion(b, root_b, convention)
-        u, m = phases.group_commutator(ea, eb)
-        want_u, want_m = dense_commutator(ea, eb)
-        assert np.array_equal(u, want_u)
-        assert np.array_equal(m, want_m)
+        u = phases.group_commutator(ea, eb)
+        assert u.shape == (len(b), len(b))
+        want_u, _ = dense_commutator(ea.dense(), eb.dense())
+        assert np.array_equal(u.dense(), want_u)
 
     @settings(deadline=None)
     @given(monomial_pairs())
     def test_unit_modulus_monomials_match_the_dense_product(self, pair):
-        u, m = phases.group_commutator(*pair)
-        want_u, want_m = dense_commutator(*pair)
-        assert np.max(np.abs(u - want_u)) <= 1e-15
-        assert np.max(np.abs(m - want_m)) <= 1e-15
+        u = phases.group_commutator(*map(Monomial.from_dense, pair))
+        want_u, _ = dense_commutator(*pair)
+        assert np.max(np.abs(u.dense() - want_u)) <= 1e-15
 
     @settings(deadline=None)
     @given(
@@ -488,10 +498,8 @@ class TestGroupCommutator:
             mat[row, col], mat[row, (col + 1) % d] = 0, value
         else:  # every column keeps one nonzero
             mat[row, col], mat[(row + 1) % d, col] = 0, value
-        good = np.eye(d, dtype=complex)
-        for args in ((mat, good), (good, mat)):
-            with pytest.raises(ValueError, match="monomial"):
-                phases.group_commutator(*args)
+        with pytest.raises(ValueError, match="monomial"):
+            Monomial.from_dense(mat)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
@@ -500,16 +508,30 @@ class TestGroupCommutator:
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         assert dense_unitarity_residual(q) < 1e-12
         with pytest.raises(ValueError, match="monomial"):
-            phases.group_commutator(q, np.eye(d, dtype=complex))
+            Monomial.from_dense(q)
+
+    @settings(deadline=None, max_examples=50)
+    @given(completion_pairs())
+    def test_dense_input_gives_the_dense_pair(self, pair):
+        n, lam, root_a, root_b, convention = pair
+        b = bs.enumerate_basis(n, lam)
+        ea = phases.su2_invariant_completion(b, root_a, convention).dense()
+        eb = phases.su2_invariant_completion(b, root_b, convention).dense()
+        u, m = phases.group_commutator(ea, eb)
+        want_u, want_m = dense_commutator(ea, eb)
+        assert np.array_equal(u, want_u)
+        assert np.array_equal(m, want_m)
+        with pytest.raises(ValueError, match="monomial"):
+            phases.group_commutator(np.zeros_like(ea), eb)
 
     def test_self_commutator_vanishes(self):
-        e = phases.su2_shift_E(2)
-        _, m = phases.group_commutator(e, e)
-        assert np.max(np.abs(m)) == 0
+        e = Monomial.from_dense(phases.su2_shift_E(2))
+        u = phases.group_commutator(e, e)
+        assert np.array_equal(u.dense(), np.eye(5))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            phases.group_commutator(np.eye(2), np.eye(3))
+            phases.group_commutator(Monomial.from_dense(np.eye(2)), Monomial.from_dense(np.eye(3)))
 
     def test_fundamental_three_cycle(self):
         report = phases.noncommutativity_norm(3, 1)
@@ -520,7 +542,8 @@ class TestGroupCommutator:
         b = bs.enumerate_basis(3, 2)
         ea = phases.su2_invariant_completion(b, (1, 2), "plus")
         eb = phases.su2_invariant_completion(b, (3, 1), "plus")
-        u, m = phases.group_commutator(ea, eb)
+        u = phases.group_commutator(ea, eb).dense()
+        m = u - np.eye(6)
         raw = np.real(np.trace(m.conj().T @ m))
         assert raw == pytest.approx(10.0)
         # only |101> survives the commutator unchanged
@@ -539,14 +562,31 @@ class TestNorms:
         n, lam, root_a, root_b, convention = pair
         b = bs.enumerate_basis(n, lam)
         _, m = dense_commutator(
-            phases.su2_invariant_completion(b, root_a, convention),
-            phases.su2_invariant_completion(b, root_b, convention),
+            phases.su2_invariant_completion(b, root_a, convention).dense(),
+            phases.su2_invariant_completion(b, root_b, convention).dense(),
         )
         report = phases.noncommutativity_norm(n, lam, root_a, root_b, convention)
         assert report.raw_norm == float(np.vdot(m, m).real)
         assert report.fixed_point_count == int(
             np.count_nonzero(np.max(np.abs(m), axis=0) < 1e-9)
         )
+
+    @settings(deadline=None)
+    @given(st.integers(1, 12).flatmap(monomials), st.data())
+    def test_defect_matches_the_dense_defect(self, mat, data):
+        # fixed columns with value -1 or a complex phase count in the norm, not as fixed points
+        d = len(mat)
+        signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
+        for u in (mat, (mat != 0) * np.array(signs)):
+            m = u - np.eye(d)
+            raw, fixed = phases._defect(Monomial.from_dense(u))
+            assert raw == pytest.approx(float(np.vdot(m, m).real), abs=1e-12)
+            assert fixed == int(np.count_nonzero(np.max(np.abs(m), axis=0) == 0))
+
+    def test_a_fixed_column_with_sign_minus_one_is_not_a_fixed_point(self):
+        u = Monomial(np.array([0, 2, 1]), np.array([-1.0, 1.0, 1.0]))
+        assert phases._defect(u) == (8.0, 0)
+        assert phases._defect(Monomial(np.arange(3), np.array([1.0, -1.0, 1.0]))) == (4.0, 2)
 
     @pytest.mark.parametrize("lam", range(1, 11))
     def test_su3_matches_formula(self, lam):
@@ -571,7 +611,8 @@ class TestNorms:
             b = bs.enumerate_basis(3, lam)
             ea = phases.su2_invariant_completion(b, (1, 2), "paper-sign")
             eb = phases.su2_invariant_completion(b, (3, 1), "paper-sign")
-            u, m = phases.group_commutator(ea, eb)
+            u = phases.group_commutator(ea, eb).dense()
+            m = u - np.eye(len(b))
             raw = np.real(np.trace(m.conj().T @ m))
             assert raw == pytest.approx(
                 2.0 * (len(b) - np.real(np.trace(u))), abs=1e-10
@@ -591,6 +632,88 @@ class TestNorms:
     def test_formula_only_for_canonical_pair(self):
         report = phases.noncommutativity_norm(3, 2, (1, 2), (2, 3))
         assert report.formula_value is None
+
+
+class TestExactRawNorm:
+    @staticmethod
+    def three_routes(n, lam, root_a, root_b, convention):
+        """The array core, the dense oracle and the closed form."""
+        b = bs.enumerate_basis(n, lam)
+        _, m = dense_commutator(
+            phases.su2_invariant_completion(b, root_a, convention).dense(),
+            phases.su2_invariant_completion(b, root_b, convention).dense(),
+        )
+        report = phases.noncommutativity_norm(n, lam, root_a, root_b, convention)
+        exact = phases.exact_raw_norm(n, lam, root_a, root_b)
+        return report.raw_norm, float(np.vdot(m, m).real), exact
+
+    @settings(deadline=None, max_examples=300)
+    @given(completion_pairs())
+    def test_array_dense_and_closed_form_agree(self, pair):
+        array, dense, exact = self.three_routes(*pair)
+        assert isinstance(exact, int)
+        assert array == dense == exact
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_ordered_root_pair(self, n):
+        roots = ladder_roots(n)
+        for lam in range(1, 5):
+            for root_a in roots:
+                for root_b in roots:
+                    for convention in ("plus", "paper-sign"):
+                        array, dense, exact = self.three_routes(
+                            n, lam, root_a, root_b, convention
+                        )
+                        assert array == dense == exact
+                        shared = len(set(root_a) & set(root_b))
+                        assert (exact > 0) == (shared == 1)
+
+    @pytest.mark.parametrize("lam", range(0, 40, 7))
+    def test_su3_and_su4_closed_forms(self, lam):
+        assert phases.exact_raw_norm(3, lam, (1, 2), (3, 1)) == (2 * (2 * lam + 1) if lam else 0)
+        assert phases.exact_raw_norm(4, lam, (1, 2), (3, 1)) == 2 * lam * (lam + 2)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign"])
+    def test_lambda_zero_is_one_fixed_point(self, n, convention):
+        root_b = (3, 1) if n > 2 else (2, 1)
+        report = phases.noncommutativity_norm(n, 0, (1, 2), root_b, convention)
+        assert (report.dimension, report.raw_norm, report.fixed_point_count) == (1, 0.0, 1)
+        assert phases.exact_raw_norm(n, 0, (1, 2), root_b) == 0
+        if n == 3:
+            assert phases.formula_su3(0) == 2  # the quoted formula, not the norm
+
+    @pytest.mark.parametrize(
+        "args", [(1, 2, (1, 2), (2, 1)), (3, -1, (1, 2), (3, 1)), (3, 2, (1, 4), (3, 1))]
+    )
+    def test_rejects_a_bad_irrep_or_root(self, args):
+        with pytest.raises(ValueError):
+            phases.exact_raw_norm(*args)
+
+
+class TestMonomial:
+    @settings(deadline=None)
+    @given(st.integers(1, 12).flatmap(monomials))
+    def test_dense_round_trip(self, mat):
+        e = Monomial.from_dense(mat)
+        assert e.shape == mat.shape
+        assert np.array_equal(e.dense(), mat)
+
+    @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
+    def test_completions_are_the_oracle_permutation(self, n, lam):
+        b = bs.enumerate_basis(n, lam)
+        for root in ladder_roots(n):
+            for convention in ("plus", "paper-sign"):
+                e = phases.su2_invariant_completion(b, root, convention)
+                perm, sign = permutation_of(b, root, convention)
+                assert e.rows.tolist() == [perm[k] for k in range(len(b))]
+                assert e.vals.tolist() == [sign[k] for k in range(len(b))]
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValueError, match="monomial"):
+            Monomial.from_dense(np.eye(3)[:2])
+        with pytest.raises(ValueError, match="monomial"):
+            Monomial.from_dense(np.ones(3))
 
 
 class TestDIdentities:

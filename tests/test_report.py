@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +151,19 @@ def test_one_matrix_at_two_depths_matches_the_stock_encoder():
     mat = matrix(2)
     payload = {"a": mat, "b": [{"c": mat}]}
     assert report.dumps(payload) == stock(by_hand(payload))
+
+
+def test_dumps_lets_its_matrices_go_without_the_cyclic_collector():
+    # json's indenting encoder leaves its closures, the hook among them, in a cycle
+    mat = np.eye(2, dtype=complex)
+    ref = weakref.ref(mat)
+    gc.disable()
+    try:
+        report.dumps({"a": mat, "b": [mat]})
+        del mat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_payload_string_equal_to_the_slot_is_refused():
