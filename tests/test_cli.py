@@ -326,6 +326,7 @@ class TestMatrixCommandCost:
         [
             (["phases", "--n", "3", "--lambda", "10"], ["phases", "--n", "3", "--lambda", "1"]),
             (["gens", "--n", "3", "--lambda", "10"], ["gens", "--n", "3", "--lambda", "1"]),
+            (["gens", "--n", "2", "--lambda", "65"], ["gens", "--n", "2", "--lambda", "2"]),
             (["gamma", "--lambda", "10"], ["gamma", "--lambda", "1"]),
             (["gamma", "--j", "32.5"], ["gamma", "--j", "1"]),
         ],
