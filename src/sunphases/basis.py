@@ -157,12 +157,15 @@ class StringPartition:
     `order` lists the basis indices string by string, each string by
     increasing n_i, so C_ij acts as the successor map inside a string;
     string k is order[bounds[k]:bounds[k + 1]].  Occupations of all modes
-    other than i and j are constant along a string.
+    other than i and j are constant along a string.  `image` maps each state
+    to its successor, the top of a string (n_j = 0) wrapping to its bottom: the
+    rows of the ladder C_ij and of its cyclic completion.
     """
 
     root: Root
     order: np.ndarray
     bounds: np.ndarray
+    image: np.ndarray
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -180,8 +183,11 @@ def su2_strings(basis: OrderedBasis, root: Root) -> StringPartition:
     occ = basis.occupations
     frozen = [occ[:, k] for k in range(basis.n) if k not in (i - 1, j - 1)]
     order = np.lexsort([occ[:, i - 1], *frozen])
-    starts = (occ[order, i - 1] == 0).nonzero()[0]
-    return StringPartition(root=(i, j), order=order, bounds=np.append(starts, len(order)))
+    bounds = np.concatenate(((occ[:, i - 1][order] == 0).nonzero()[0], (len(order),)))
+    image = np.empty_like(order)
+    image[order[:-1]] = order[1:]
+    image[order[bounds[1:] - 1]] = order[bounds[:-1]]
+    return StringPartition((i, j), order, bounds, image)
 
 
 def kernel_states(basis: OrderedBasis, root: Root) -> list[int]:

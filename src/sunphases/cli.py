@@ -74,7 +74,7 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 #           (347 and 220, lambda = 14 and 18) and n = 5 (412 and 220, lambda = 8, 10)
 #   gens    112 per matrix, 150 + 16 per matrix with --out, for all n^2 - 1 of them
 #           (n = 3, lambda = 40 and 50; n = 4, lambda = 8 to 16)
-#   gamma   243 with --lambda 30 and 50, 251 with --j 500 and 1000
+#   gamma   243 with --lambda 30 and 50, 203 with --j 500 and 1000
 def _per_entry(nbytes: float) -> Callable[[int, int], int]:
     return lambda n, d: int(nbytes * d * d)
 
@@ -311,7 +311,8 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         raise click.UsageError("give exactly one of --j or --lambda")
     if spin is not None:
         try:
-            _refuse_unfit(2, _check_spin(spin), _per_entry(251))
+            _refuse_unfit(2, _check_spin(spin), _per_entry(203))
+            diagonal = coherent._intertwiner_diagonal(spin)
             g = coherent.gamma_su2(spin)
         except ValueError as exc:
             raise click.UsageError(str(exc))
@@ -320,7 +321,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
             {"j": spin},
             {
                 "witness": coherent.nonhermiticity_witness(g),
-                "intertwiner_diagonal": np.diag(coherent.intertwiner(spin)).real.tolist(),
+                "intertwiner_diagonal": diagonal.tolist(),
             },
             out,
             {

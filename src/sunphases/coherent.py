@@ -5,6 +5,8 @@ In the exponential-function basis the ladder coefficients are integers,
 roots of the Hermitian realization.  A diagonal binomial-square-root matrix
 intertwines the two pictures; the phase part of the polar decomposition is
 unchanged by that similarity, which is the point of the whole construction.
+The checks scale rows and columns by the intertwiner's diagonal and the phase
+part divides by the weights of `phases.positive_factor`: no matrix products.
 
 Basis ordering matches the rest of the package: m = j, ..., -j for su(2) and
 the lexicographically decreasing occupation order for su(3).
@@ -27,7 +29,10 @@ from .generators import (
     commutation_residual,
     su2_matrices,
 )
-from .phases import su2_shift_E
+from .phases import positive_factor, su2_shift_E
+
+#: Largest 2j whose intertwiner is finite: sqrt(C(2054, 1027)) exceeds the largest float.
+_MAX_TWO_J = 2053
 
 
 def _coherent_ladder(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
@@ -51,76 +56,63 @@ def nonhermiticity_witness(gamma: SU2Matrices) -> float:
 
 
 def intertwiner(j: float) -> np.ndarray:
-    """Diagonal binomial-square-root matrix K with K_mm = sqrt(C(2j, j+m)).
+    """Diagonal binomial-square-root matrix K with K_mm = sqrt(C(2j, j+m))."""
+    return np.diag(_intertwiner_diagonal(j).astype(complex))
 
-    Exact integer binomials for moderate spins, log-gamma evaluation beyond,
-    so entries stay finite and accurate for large j.
+
+def _intertwiner_diagonal(j: float) -> np.ndarray:
+    """K_mm = sqrt(C(2j, j+m)) for m = j, ..., -j.
+
+    Exact integer binomials for moderate spins, log-gamma evaluation beyond.
+    Every entry is finite up to 2j = 2053; larger spins, whose middle entry
+    overflows a float, raise ValueError before anything is computed.
     """
     two_j = _check_spin(j)
-    dim = two_j + 1
+    if two_j > _MAX_TWO_J:
+        raise ValueError(f"2j = {two_j} exceeds {_MAX_TWO_J}: sqrt(C(2j, j)) overflows a float")
     if two_j <= 60:
-        entries = [math.sqrt(math.comb(two_j, p)) for p in range(dim)]
-    else:
-        entries = [
-            math.exp(
-                0.5
-                * (
-                    math.lgamma(two_j + 1)
-                    - math.lgamma(p + 1)
-                    - math.lgamma(two_j - p + 1)
-                )
-            )
-            for p in range(dim)
-        ]
-    return np.diag(np.asarray(entries, dtype=complex))
+        return np.sqrt([float(math.comb(two_j, p)) for p in range(two_j + 1)])
+    top = math.lgamma(two_j + 1)
+    logs = [0.5 * (top - math.lgamma(p + 1) - math.lgamma(two_j - p + 1)) for p in range(two_j + 1)]
+    return np.array([math.exp(x) for x in logs])
 
 
 def hermitize_check(j: float) -> float:
     """Residual of K^-1 Gamma K against the Hermitian spin-j matrices."""
-    gamma = gamma_su2(j)
-    std = su2_matrices(j)
-    kmat = intertwiner(j)
-    kinv = np.diag(1.0 / np.diag(kmat))
-    lowered = kinv @ gamma.e_minus @ kmat
-    raised = kinv @ gamma.e_plus @ kmat
-    return max(
-        float(np.max(np.abs(lowered - std.e_minus))),
-        float(np.max(np.abs(raised - std.e_minus.conj().T))),
-    )
+    gamma, std = gamma_su2(j), su2_matrices(j)
+    k = _intertwiner_diagonal(j)
+    kinv = 1.0 / k
+    pairs = ((gamma.e_minus, std.e_minus), (gamma.e_plus, std.e_minus.conj().T))
+    return max(float(np.max(np.abs((kinv[:, None] * ladder) * k - want))) for ladder, want in pairs)
 
 
 def s_recursion_check(j: float) -> float:
-    """Relative defect of the recursion S_{m+1}(j+m+1) = S_m(j-m) with S = K^2."""
-    two_j = _check_spin(j)
-    s = np.real(np.diag(intertwiner(j))) ** 2  # index p, m = j - p
-    worst = 0.0
-    for p in range(1, two_j + 1):
-        m = j - p  # S_m at index p, S_{m+1} at index p - 1
-        lhs = s[p - 1] * (j + m + 1)
-        rhs = s[p] * (j - m)
-        worst = max(worst, abs(lhs - rhs) / s[p])
-    return worst
+    """Relative defect of the recursion S_{m+1}(j+m+1) = S_m(j-m) with S = K^2.
+
+    Each neighbouring pair of K entries is scaled by the same power of two, which
+    is exact and leaves the relative defect unchanged, so K^2 cannot overflow.
+    """
+    k = _intertwiner_diagonal(j)  # index p, m = j - p
+    scale = np.ldexp(1.0, -np.frexp(k[1:])[1])
+    s_above, s = (k[:-1] * scale) ** 2, (k[1:] * scale) ** 2  # S_{m+1}, S_m
+    m = j - np.arange(1, len(k))
+    return float(np.max(np.abs(s_above * (j + m + 1) - s * (j - m)) / s, initial=0.0))
 
 
 def gamma_phase_part(gamma: SU2Matrices) -> np.ndarray:
     """Phase factor of the coherent-state lowering matrix, completed cyclically.
 
-    Gamma(e_-) = E . D with D = sqrt(Gamma(e_-)^dag Gamma(e_-)) diagonal; the
+    Gamma(e_-) = E . D with D = `positive_factor`(Gamma(e_-)) diagonal; the
     one undetermined column wraps the lowest weight back to the highest.  The
     result coincides entrywise with the shift completing the Hermitian
     realization.
     """
     e_minus = gamma.e_minus
-    dim = e_minus.shape[0]
-    weights = np.sqrt(np.real(np.diag(e_minus.conj().T @ e_minus)))
-    mat = np.zeros((dim, dim), dtype=complex)
-    for p in range(dim):
-        if weights[p] > 0:
-            mat[:, p] = e_minus[:, p] / weights[p]
+    weights = np.diag(positive_factor(e_minus)).real
+    mat = e_minus / np.where(weights > 0, weights, 1.0)
     # cyclic closure: the kernel column (m = -j, index 2j) wraps to m = +j
-    kernel_cols = [p for p in range(dim) if weights[p] == 0]
-    for p in kernel_cols:
-        mat[(p + 1) % dim, p] = 1.0
+    kernel = np.flatnonzero(weights == 0)
+    mat[(kernel + 1) % len(mat), kernel] = 1.0
     return mat
 
 

@@ -2,7 +2,9 @@
 
 Matrix elements come from exact integer occupation arithmetic, square-rooted
 once, so the commutation residuals of the boson realization stay at machine
-epsilon.  Dense complex storage throughout; the dimensions in play are small.
+epsilon.  Every ladder is one scatter of its coefficient, evaluated on the
+occupation columns, at the su(2)-string image (`StringPartition.image`); the
+matrices are returned dense, as the payloads and the commutation checks read them.
 """
 
 from __future__ import annotations
@@ -13,24 +15,19 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import OrderedBasis, Root, check_root, enumerate_basis, root_components
+from .basis import OrderedBasis, Root, enumerate_basis, root_components, su2_strings
 
 
-def _weight_shift(
-    basis: OrderedBasis, i: int, j: int, coefficient: Callable[[int, int], float]
-) -> np.ndarray:
-    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j)."""
-    check_root(basis.n, (i, j))
-    d = len(basis)
-    mat = np.zeros((d, d), dtype=complex)
-    for col, state in enumerate(basis.states):
-        nj = state[j - 1]
-        if nj == 0:
-            continue
-        target = list(state)
-        target[i - 1] += 1
-        target[j - 1] -= 1
-        mat[basis.index(tuple(target)), col] = coefficient(state[i - 1], nj)
+def _weight_shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> np.ndarray:
+    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j).
+
+    coefficient takes the occupation columns and must vanish where n_j = 0:
+    there the image wraps to the bottom of the string, and the entry stays zero.
+    """
+    image = su2_strings(basis, (i, j)).image
+    occ = basis.occupations
+    mat = np.zeros((len(image), len(image)), dtype=complex)
+    mat[image, np.arange(len(image))] = coefficient(occ[:, i - 1], occ[:, j - 1])
     return mat
 
 
@@ -42,23 +39,22 @@ def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
     """
     if i == j:
         raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
-    return _weight_shift(basis, i, j, lambda ni, nj: math.sqrt(nj * (ni + 1)))
+    return _weight_shift(basis, i, j, lambda ni, nj: np.sqrt(nj * (ni + 1)))
 
 
 def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:
     """Diagonal matrix of the mode occupation C_ii = a_i^dag a_i."""
     if not 1 <= i <= basis.n:
         raise ValueError(f"mode index must lie in 1..{basis.n}, got {i}")
-    occ = [state[i - 1] for state in basis.states]
-    return np.diag(np.asarray(occ, dtype=complex))
+    return np.diag(basis.occupations[:, i - 1].astype(complex))
 
 
 def cartan_matrix(basis: OrderedBasis, k: int) -> np.ndarray:
     """Diagonal matrix of h_k = C_kk - C_{k+1,k+1}, with 1 <= k <= n-1."""
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"Cartan index must lie in 1..{basis.n - 1}, got {k}")
-    diag = [state[k - 1] - state[k] for state in basis.states]
-    return np.diag(np.asarray(diag, dtype=complex))
+    occ = basis.occupations
+    return np.diag((occ[:, k - 1] - occ[:, k]).astype(complex))
 
 
 @dataclass(frozen=True)

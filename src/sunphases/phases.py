@@ -136,13 +136,9 @@ def su2_invariant_completion(
         raise ValueError(f"{convention!r} is not one of {tuple(_WRAP_PHASE)}")
     strings = su2_strings(basis, root)
     order, bounds = strings.order, strings.bounds
-    rows = np.empty_like(order)
-    rows[order[:-1]] = order[1:]
-    tops = order[bounds[1:] - 1]
-    rows[tops] = order[bounds[:-1]]
     vals = np.ones(len(order))
-    vals[tops[bounds[1:] - bounds[:-1] > 1]] = _WRAP_PHASE[convention]
-    return Monomial(rows, vals)
+    vals[order[bounds[1:] - 1][bounds[1:] - bounds[:-1] > 1]] = _WRAP_PHASE[convention]
+    return Monomial(strings.image, vals)
 
 
 @dataclass(frozen=True)

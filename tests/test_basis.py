@@ -158,6 +158,22 @@ def test_strings_and_kernel_match_the_grouping_oracle(case):
     assert bs.kernel_states(b, root) == [k for k, s in enumerate(b.states) if s[root[1] - 1] == 0]
 
 
+@settings(deadline=None, max_examples=150)
+@given(irreps_and_roots())
+def test_image_moves_one_boson_and_wraps_the_top(case):
+    # oracle: C_ij's target where n_j > 0, else the string's bottom (n_i = 0)
+    n, lam, (i, j) = case
+    b = bs.enumerate_basis(n, lam)
+    want = []
+    for state in b.states:
+        target = list(state)
+        moved = 1 if state[j - 1] else -state[i - 1]
+        target[i - 1] += moved
+        target[j - 1] -= moved
+        want.append(b.index(tuple(target)))
+    assert bs.su2_strings(b, (i, j)).image.tolist() == want
+
+
 @settings(deadline=None, max_examples=100)
 @given(irreps_and_roots(), st.data())
 def test_edge_overlap_matches_the_set_oracle(case, data):

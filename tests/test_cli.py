@@ -271,6 +271,16 @@ class TestGamma:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    def test_spin_past_the_float_range_is_usage_error(self, runner, monkeypatch):
+        # 2j = 2054 overflows the intertwiner; it is refused before any matrix is built
+        def built(j):
+            raise AssertionError("gamma --j built its matrices")
+
+        monkeypatch.setattr(cli.coherent, "gamma_su2", built)
+        result = runner.invoke(main, ["gamma", "--j", "1027"])
+        assert result.exit_code == 2
+        assert "overflows a float" in result.output
+
     def test_requires_exactly_one_selector(self, runner):
         assert runner.invoke(main, ["gamma"]).exit_code == 2
         assert (

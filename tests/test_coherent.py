@@ -3,9 +3,87 @@ import math
 import numpy as np
 import pytest
 
+from sunphases import basis as bs
 from sunphases import coherent, phases
 from sunphases.basis import weight_of
-from sunphases.generators import su2_matrices
+from sunphases.generators import build_generators, su2_matrices
+
+
+def dense_hermitize_check(j):
+    """Oracle: K^-1 Gamma K by two dense products with the diagonal K."""
+    gamma = coherent.gamma_su2(j)
+    std = su2_matrices(j)
+    kmat = coherent.intertwiner(j)
+    kinv = np.diag(1.0 / np.diag(kmat))
+    lowered = kinv @ gamma.e_minus @ kmat
+    raised = kinv @ gamma.e_plus @ kmat
+    return max(
+        float(np.max(np.abs(lowered - std.e_minus))),
+        float(np.max(np.abs(raised - std.e_minus.conj().T))),
+    )
+
+
+def loop_recursion_check(j):
+    """Oracle: the recursion one entry at a time on the unscaled S = K^2."""
+    s = np.real(np.diag(coherent.intertwiner(j))) ** 2
+    worst = 0.0
+    for p in range(1, len(s)):
+        m = j - p
+        worst = max(worst, abs(s[p - 1] * (j + m + 1) - s[p] * (j - m)) / s[p])
+    return worst
+
+
+def product_phase_part(gamma):
+    """Oracle: column weights from the diagonal of Gamma(e_-)^dag Gamma(e_-)."""
+    e_minus = gamma.e_minus
+    dim = e_minus.shape[0]
+    weights = np.sqrt(np.real(np.diag(e_minus.conj().T @ e_minus)))
+    mat = np.zeros((dim, dim), dtype=complex)
+    for p in range(dim):
+        if weights[p] > 0:
+            mat[:, p] = e_minus[:, p] / weights[p]
+    for p in range(dim):
+        if weights[p] == 0:
+            mat[(p + 1) % dim, p] = 1.0
+    return mat
+
+
+class TestAgainstTheDenseOracles:
+    def test_hermitize_check_is_bit_identical(self):
+        for two_j in range(0, 201):
+            got = np.float64(coherent.hermitize_check(two_j / 2.0))
+            want = np.float64(dense_hermitize_check(two_j / 2.0))
+            assert got.view(np.uint64) == want.view(np.uint64), two_j
+
+    def test_recursion_check_is_bit_identical_while_unscaled_is_finite(self):
+        # the unscaled products S (j + m + 1) stay finite up to 2j = 1020
+        for two_j in [*range(0, 1021, 13), 1020]:
+            got = np.float64(coherent.s_recursion_check(two_j / 2.0))
+            want = np.float64(loop_recursion_check(two_j / 2.0))
+            assert got.view(np.uint64) == want.view(np.uint64), two_j
+
+    @pytest.mark.filterwarnings("error")
+    def test_recursion_check_covers_every_entry_past_the_square_overflow(self):
+        # unscaled, the products overflow from 2j = 1021 and the inf - inf
+        # entries drop out of the max; scaled, every entry counts
+        assert 0 < coherent.s_recursion_check(2053 / 2) < 1e-8
+
+    def test_phase_part_is_bit_identical(self):
+        for two_j in range(0, 201):
+            g = coherent.gamma_su2(two_j / 2.0)
+            got, want = coherent.gamma_phase_part(g), product_phase_part(g)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), two_j
+
+    def test_no_state_tuples_are_built(self):
+        # the ladders, the polar factors and the coherent su(3) layer read the
+        # occupation array only
+        for n, lam in ((2, 6), (3, 4), (4, 3)):
+            basis = bs.enumerate_basis(n, lam)
+            build_generators(basis)
+            for root in ((1, 2), (2, 1)):
+                phases.polar_decompose(basis, root)
+            assert "states" not in basis.__dict__
+        assert "states" not in coherent.gamma_su3(4).basis.__dict__
 
 
 class TestGammaSu2:
@@ -84,6 +162,15 @@ class TestIntertwiner:
         assert np.all(np.isfinite(k))
         # spot check against the exact binomial
         assert k[50] == pytest.approx(math.sqrt(math.comb(100, 50)), rel=1e-10)
+
+    def test_largest_finite_spin(self):
+        # 2j = 2053 is the last spin whose middle entry fits a float; 2054 overflows
+        k = coherent._intertwiner_diagonal(2053 / 2)
+        assert k.shape == (2054,) and np.all(np.isfinite(k))
+        with pytest.raises(OverflowError):
+            math.exp(0.5 * (math.lgamma(2055) - 2 * math.lgamma(1028)))
+        with pytest.raises(ValueError, match="overflows"):
+            coherent._intertwiner_diagonal(1027)
 
 
 class TestHermitization:

@@ -2,15 +2,78 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunphases import basis as bs
+from sunphases.coherent import _coherent_ladder
 from sunphases.generators import (
     build_generators,
     cartan_matrix,
     commutation_residual,
     generator_matrix,
+    number_matrix,
     su2_matrices,
 )
+
+#: The two ladder builders and the coefficient each scatters: Hermitian and coherent-state.
+BUILDERS = (
+    (generator_matrix, lambda ni, nj: math.sqrt(nj * (ni + 1))),
+    (_coherent_ladder, lambda ni, nj: nj),
+)
+
+
+def loop_weight_shift(basis, i, j, coefficient):
+    """Oracle: one state at a time, each target looked up in the index map."""
+    bs.check_root(basis.n, (i, j))
+    d = len(basis)
+    mat = np.zeros((d, d), dtype=complex)
+    for col, state in enumerate(basis.states):
+        nj = state[j - 1]
+        if nj == 0:
+            continue
+        target = list(state)
+        target[i - 1] += 1
+        target[j - 1] -= 1
+        mat[basis.index(tuple(target)), col] = coefficient(state[i - 1], nj)
+    return mat
+
+
+#: Largest lambda drawn per n for the oracle comparison (d at most 84).
+LAM_MAX = {2: 12, 3: 8, 4: 6, 5: 4, 6: 3}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, LAM_MAX[n]))))
+def test_weight_shift_is_bit_identical_to_the_loop(irrep):
+    n, lam = irrep
+    b = bs.enumerate_basis(n, lam)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for builder, coefficient in BUILDERS:
+                got = builder(b, i, j)
+                want = loop_weight_shift(b, i, j, coefficient)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n,lam", [(2, 5), (3, 4), (4, 3), (5, 2), (6, 2)])
+def test_zero_columns_are_the_kernel_states(n, lam):
+    b = bs.enumerate_basis(n, lam)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                zero = np.flatnonzero(~generator_matrix(b, i, j).any(axis=0)).tolist()
+                assert zero == bs.kernel_states(b, (i, j))
+
+
+def test_diagonals_read_the_occupation_columns():
+    b = bs.enumerate_basis(4, 3)
+    for i in range(1, 5):
+        assert np.array_equal(np.diag(number_matrix(b, i)), [s[i - 1] for s in b.states])
+    for k in range(1, 4):
+        assert np.array_equal(np.diag(cartan_matrix(b, k)), [s[k - 1] - s[k] for s in b.states])
 
 
 def test_c12_fundamental():
