@@ -33,6 +33,7 @@ from .phases import (
     noncommutativity_norm,
     phase_hermitian,
     polar_decompose,
+    polar_identity_residual,
     positive_factor,
     su2_invariant_completion,
     su2_shift_E,

@@ -69,9 +69,11 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 
 # Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two
 # sizes each and taken as the slope between them; --out changes only phases and gens.
-#   phases  485, 276 with --out: the largest over n = 2 (lambda = 600 and 1000, one
-#           cycle, so phi is dense), n = 3 (362 and 225, lambda = 30 and 50), n = 4
-#           (347 and 220, lambda = 14 and 18) and n = 5 (412 and 220, lambda = 8, 10)
+#   phases  485, 256 with --out: the largest over n = 2 (lambda = 600 and 1000, one
+#           cycle, so phi is dense; 424-464 and 189-255), n = 3 (418-438 and 187-210,
+#           lambda = 30 and 50), n = 4 (380-431 and 190-206, lambda = 14 and 18) and
+#           n = 5 (380-429 and 149-203, lambda = 8 and 10), over repeated runs; one
+#           inline run at n = 2 read 558, so the inline figure is not lowered
 #   gens    112 per matrix, 150 + 16 per matrix with --out, for all n^2 - 1 of them
 #           (n = 3, lambda = 40 and 50; n = 4, lambda = 8 to 16)
 #   gamma   243 with --lambda 30 and 50, 203 with --j 500 and 1000
@@ -182,7 +184,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _per_entry(485 if out is None else 276))
+        _refuse_unfit(n, lam, _per_entry(485 if out is None else 256))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma
@@ -193,7 +195,7 @@ def cmd_phases(
     emat, dmat = factors.unitary, factors.positive
     residuals = {
         "unitarity": phases.unitarity_residual(emat),
-        "polar_identity": float(np.max(np.abs(emat @ dmat - factors.ladder))),
+        "polar_identity": phases.polar_identity_residual(factors),
     }
     _emit_report(
         "phases",

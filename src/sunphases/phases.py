@@ -20,7 +20,8 @@ scatter E for the payloads, and `Monomial.from_dense` reads one back.
 The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
 eigendecomposition.  A completed E is monomial, so `unitarity_residual` reads
-its nonzeros and `phase_hermitian` takes the logarithm cycle by cycle; for a
+its nonzeros, `polar_identity_residual` gathers E D from them with no matrix
+product, and `phase_hermitian` takes the logarithm cycle by cycle; for a
 signed permutation the (-pi, pi] branch holds by construction, with no snap.
 Input of any other shape is refused with ValueError.
 """
@@ -79,12 +80,13 @@ class Monomial:
         """Read a dense matrix; ValueError unless it has one nonzero per row and column."""
         mat = np.asarray(mat)
         nonzero = mat != 0
-        if nonzero.ndim != 2 or any(
-            np.any(np.count_nonzero(nonzero, axis=axis) != 1) for axis in (0, 1)
-        ):
-            raise ValueError("need a monomial matrix, one nonzero per row and column")
-        rows = np.argmax(nonzero, axis=0)
-        return cls(rows, mat[rows, np.arange(len(rows))])
+        # d nonzeros in a d x d matrix, one in every column, on d distinct rows
+        if nonzero.ndim == 2 and nonzero.shape[0] == nonzero.shape[1] == np.count_nonzero(nonzero):
+            rows = np.argmax(nonzero, axis=0)
+            cols = np.arange(len(rows))
+            if nonzero[rows, cols].all() and np.bincount(rows).max() == 1:
+                return cls(rows, mat[rows, cols])
+        raise ValueError("need a monomial matrix, one nonzero per row and column")
 
     def dense(self) -> np.ndarray:
         """The complex d x d matrix."""
@@ -227,6 +229,19 @@ def unitarity_residual(mat: np.ndarray) -> float:
     Any other input raises ValueError.
     """
     return _modulus_defect(Monomial.from_dense(mat).vals)
+
+
+def polar_identity_residual(factors: PolarFactors) -> float:
+    """Largest entry modulus of E D - C for a monomial E.
+
+    Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from
+    E's nonzeros with no matrix product, whatever the structure of D.  Any E
+    that is not monomial raises ValueError.
+    """
+    e = Monomial.from_dense(factors.unitary)
+    defect = e.vals[:, None] * factors.positive
+    defect -= factors.ladder[e.rows]
+    return float(np.max(np.abs(defect)))
 
 
 def _modulus_defect(vals: np.ndarray) -> float:

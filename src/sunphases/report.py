@@ -7,7 +7,10 @@ floats serialized by repr (lossless round-trip), no locale formatting.  The
 timestamp is the only field allowed to differ between identical runs.
 Matrices stay numpy arrays until `dumps` renders each one once, with
 `matrix_payload` at its slot's indentation, to the exact text
-json.dumps(..., indent=2) would give its nested lists.
+json.dumps(..., indent=2) would give its nested lists.  The renderer spells
+only the nonzero pairs and the pairs that open a row and repeats one string
+for each run of zero pairs between them, so its work scales with nonzeros
+plus rows; only copying the text scales with the number of entries.
 Matrices above the inline threshold are written to sidecar files referenced
 from the envelope so reports stay diffable.
 """
@@ -34,6 +37,9 @@ INLINE_DIM_LIMIT = 400
 #: payload string that equals the slot.
 _SLOT = "\ud800matrix\ud800"
 
+#: Pairs `matrix_payload` reads at a time, so its temporaries stay bounded as d grows.
+_BLOCK = 32768
+
 
 @functools.cache
 def _separators(ndim: int, pad: str) -> tuple[tuple[str, ...], str]:
@@ -50,22 +56,44 @@ def _separators(ndim: int, pad: str) -> tuple[tuple[str, ...], str]:
 def matrix_payload(mat: np.ndarray, pad: str) -> str:
     """Non-empty complex matrix as nested [re, im] pairs, rendered at indentation pad.
 
-    json spells each distinct bit pattern once (repr, NaN, Infinity or
-    -Infinity), and one join puts the leaves between json's separators.
+    A pair is special if it is nonzero (either bit pattern, so -0.0 counts)
+    or opens a row.  Only special pairs are spelled: json spells each distinct
+    bit pattern once (repr, NaN, Infinity or -Infinity), and their restart
+    depths pick json's separators.  Each run of zero pairs between two of them
+    is one string repeated.  _BLOCK pairs are read at a time.
     """
     mat = np.ascontiguousarray(mat, dtype=complex)
-    pairs = mat.view(float).reshape(*mat.shape, 2)
-    bits, leaf = np.unique(pairs.view(np.uint64).ravel(), return_inverse=True)
-    words = np.array(json.dumps(bits.view(float).tolist())[1:-1].split(", "), dtype=object)
-    before, tail = _separators(pairs.ndim, pad)
-    restarts = np.zeros(pairs.shape, dtype=np.intp)
-    for t in range(1, pairs.ndim + 1):
-        restarts[(..., *[0] * t)] = t
-    parts = np.empty(2 * pairs.size + 1, dtype=object)
-    parts[:-1:2] = np.array(before, dtype=object)[restarts.ravel()]
-    parts[1::2] = words[leaf]
-    parts[-1] = tail
-    return "".join(parts.tolist())
+    bits = mat.view(np.uint64).reshape(-1, 2)
+    before, tail = _separators(mat.ndim + 1, pad)
+    zero = before[1] + "0.0" + before[0] + "0.0"  # a zero pair inside a row
+    spans = np.cumprod(mat.shape[::-1]).tolist()
+    out = []
+    last = -1
+    for start in range(0, len(bits), _BLOCK):
+        block = bits[start : start + _BLOCK]
+        special = (block[:, 0] | block[:, 1]) != 0
+        special[-start % spans[0] :: spans[0]] = True
+        at = np.flatnonzero(special)
+        if not len(at):
+            continue
+        found, leaf = np.unique(block[at].ravel(), return_inverse=True)
+        words = np.array(json.dumps(found.view(float).tolist())[1:-1].split(", "), dtype=object)
+        at += start
+        # zero pairs before each special pair, back to the previous one in any block
+        gaps = at - 1
+        gaps[1:] -= at[:-1]
+        gaps[0] -= last
+        depth = np.ones_like(at)  # lists that close and reopen before the pair
+        for span in spans:
+            depth += at % span == 0
+        parts = np.empty((len(at), 5), dtype=object)
+        parts[:, 0] = [zero * gap for gap in gaps.tolist()]
+        parts[:, 1] = np.array(before, dtype=object)[depth]
+        parts[:, 2:5:2] = words[leaf.reshape(-1, 2)]
+        parts[:, 3] = before[0]
+        out.append("".join(parts.ravel().tolist()))
+        last = at[-1]
+    return "".join([*out, zero * (len(bits) - 1 - last), tail])
 
 
 def _default(matrices: list[np.ndarray], value: Any) -> Any:

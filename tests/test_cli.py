@@ -5,10 +5,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sunphases import cli
+from sunphases import basis as bs
+from sunphases import cli, phases
 from sunphases.cli import main
 
 
@@ -150,6 +152,28 @@ class TestPhases:
             main, ["phases", "--n", "3", "--lambda", "1", "--root", "banana"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "lam, root, convention, angle",
+        [
+            (28, "3,1", "paper-sign", None),
+            (1, "1,2", "complementary", ("--beta", "2.0")),
+            (1, "2,3", "complementary", ("--gamma", "5.5")),
+        ],
+    )
+    def test_polar_identity_is_the_dense_product(
+        self, runner, tmp_path, lam, root, convention, angle
+    ):
+        out = tmp_path / "p.json"
+        args = ["phases", "--n", "3", "--lambda", str(lam), "--root", root,
+                "--convention", convention, *(angle or ()), "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        factors = phases.polar_decompose(
+            bs.enumerate_basis(3, lam), cli._parse_root(root), convention,
+            None if angle is None else float(angle[1]),
+        )
+        dense = float(np.max(np.abs(factors.unitary @ factors.positive - factors.ladder)))
+        assert json.loads(out.read_text())["residuals"]["polar_identity"] == dense
 
 
 class TestSweep:

@@ -342,6 +342,52 @@ class TestUnitarityResidual:
         assert dense_unitarity_residual(shear) == 1.0
 
 
+def dense_polar_identity(factors):
+    """Oracle: the largest entry of |E D - C| from the dense product."""
+    return float(np.max(np.abs(factors.unitary @ factors.positive - factors.ladder)))
+
+
+class TestPolarIdentityResidual:
+    @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
+    def test_completions_give_the_dense_value(self, n, lam):
+        b = bs.enumerate_basis(n, lam)
+        for root in ladder_roots(n):
+            for convention in ("plus", "paper-sign"):
+                factors = phases.polar_decompose(b, root, convention)
+                assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
+
+    @pytest.mark.parametrize("root", ladder_roots(3))
+    def test_su3_lambda_28_gives_the_dense_value(self, root):
+        b = bs.enumerate_basis(3, 28)
+        for convention in ("plus", "paper-sign"):
+            factors = phases.polar_decompose(b, root, convention)
+            assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.sampled_from([(1, 2), (2, 3)]), st.floats(-10, 10))
+    def test_complementary_gives_the_dense_value(self, root, angle):
+        factors = phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", angle)
+        assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
+
+    @settings(deadline=None)
+    @given(monomial_unitaries(), st.integers(0, 2**32 - 1))
+    def test_any_positive_factor_gives_the_dense_product(self, e, seed):
+        # E D is gathered, not assumed diagonal: a dense D and C give the dense value,
+        # up to the rounding of the BLAS kernel's complex products
+        rng = np.random.default_rng(seed)
+        d = len(e)
+        dmat, cmat = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        factors = phases.PolarFactors(e, dmat, "test", 0, cmat)
+        assert phases.polar_identity_residual(factors) == pytest.approx(
+            dense_polar_identity(factors), rel=1e-14
+        )
+
+    def test_other_unitaries_are_refused(self):
+        shear = np.array([[1, 1], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="monomial"):
+            phases.polar_identity_residual(phases.PolarFactors(shear, shear, "test", 0, shear))
+
+
 class TestShift:
     def test_half_spin(self):
         assert np.array_equal(phases.su2_shift_E(0.5), np.array([[0, 1], [1, 0]]))

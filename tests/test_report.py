@@ -135,6 +135,52 @@ payloads = st.recursive(
 )
 
 
+#: Zeros whose bits are not all zero: each is rendered like a nonzero pair.
+SIGNED_ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+#: Longer than one block: rows shorter than a block, a block boundary inside a row,
+#: and rows longer than a block, so that some blocks hold no pair to spell.
+LONG_SHAPES = [
+    (report._BLOCK + 1,),
+    (2 * report._BLOCK + 3,),
+    (3, report._BLOCK // 2 + 1),
+    (2, report._BLOCK + 5),
+    (2, 3, report._BLOCK // 5),
+]
+
+
+@st.composite
+def sparse_arrays(draw, shapes=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6)):
+    """Mostly zero complex arrays: rare nonzeros, signed zeros among the zeros, all-zero
+    rows and whole arrays, and a zero or nonzero first and last entry."""
+    shape = draw(shapes)
+    flat = np.zeros(math.prod(shape), dtype=complex)
+    index = st.integers(0, len(flat) - 1)
+    floats = st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS)
+    nonzero = st.builds(complex, floats, floats) | st.sampled_from([1.0, -1.0, 1j, 0.5 - 2j])
+    for k, value in draw(st.lists(st.tuples(index, nonzero), max_size=6)):
+        flat[k] = value
+    for k, value in draw(st.lists(st.tuples(index, st.sampled_from(SIGNED_ZEROS)), max_size=3)):
+        flat[k] = value
+    for k in (0, -1):
+        flat[k] = draw(st.sampled_from([flat[k], 0.0, 1.0 + 0.25j, *SIGNED_ZEROS]))
+    return flat.reshape(shape)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_arrays(), st.sampled_from([1, 2, 3, 5, 8, report._BLOCK]))
+def test_a_sparse_matrix_matches_the_stock_encoder_at_any_block(mat, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_BLOCK", block)
+        assert report.dumps({"matrix": mat}) == stock({"matrix": by_hand(mat)})
+
+
+@settings(deadline=None, max_examples=10)
+@given(sparse_arrays(shapes=st.sampled_from(LONG_SHAPES)))
+def test_a_matrix_longer_than_a_block_matches_the_stock_encoder(mat):
+    assert report.dumps({"matrix": mat}) == stock({"matrix": by_hand(mat)})
+
+
 @settings(deadline=None, max_examples=300)
 @given(arrays())
 def test_a_rendered_matrix_matches_the_stock_encoder(mat):
