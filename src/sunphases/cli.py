@@ -6,11 +6,12 @@ residual breach of `gens` or `phases` (an implementation bug, not bad input).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable, Iterator
 
 import click
 import numpy as np
@@ -27,11 +28,22 @@ EXIT_RESIDUAL_BREACH = 3
 _ANGLE_ROOTS = {"beta": (1, 2), "gamma": (2, 3)}
 
 
+@contextlib.contextmanager
+def _output(out: Path | None) -> Iterator[BinaryIO]:
+    """Binary stream to out, or to stdout's buffer once its text layer is flushed."""
+    if out is not None:
+        with out.open("wb") as fp:
+            yield fp
+        return
+    sys.stdout.flush()
+    stream = click.get_binary_stream("stdout")
+    yield stream
+    stream.flush()
+
+
 def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        out.write_text(text)
+    with _output(out) as fp:
+        fp.write(text.encode())
 
 
 def _emit_report(
@@ -41,10 +53,11 @@ def _emit_report(
     out: Path | None,
     residuals: dict[str, float] | None = None,
 ) -> None:
-    """Envelope the values, spill matrices too large to inline, emit the JSON."""
+    """Envelope the values, spill matrices too large to inline, stream the JSON."""
     env = report.envelope(command, parameters, results, residuals)
     report.spill_large_matrices(env, out)
-    _emit(report.dumps(env), out)
+    with _output(out) as fp:
+        report.dump(env, fp)
 
 
 def _physical_memory() -> int:
@@ -68,14 +81,14 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 
 
 # Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two
-# sizes each and taken as the slope between them; --out changes only phases and gens.
-#   phases  485, 256 with --out: the largest over n = 2 (lambda = 600 and 1000, one
-#           cycle, so phi is dense; 424-464 and 189-255), n = 3 (418-438 and 187-210,
-#           lambda = 30 and 50), n = 4 (380-431 and 190-206, lambda = 14 and 18) and
-#           n = 5 (380-429 and 149-203, lambda = 8 and 10), over repeated runs; one
-#           inline run at n = 2 read 558, so the inline figure is not lowered
-#   gens    112 per matrix, 150 + 16 per matrix with --out, for all n^2 - 1 of them
-#           (n = 3, lambda = 40 and 50; n = 4, lambda = 8 to 16)
+# sizes each and taken as the slope between them.  Reports stream to their file or
+# stdout, so --out no longer changes the peak of phases or gens.
+#   phases  160: the largest reading, 157, is at n = 2 (lambda = 600 and 1000, one
+#           cycle, so phi is dense and the cycle logarithm's temporaries are d x d;
+#           155-158 over repeated runs, inline and --out alike); n = 3 (lambda = 30
+#           and 50), n = 4 (14 and 18) and n = 5 (8 and 10) read 78-80
+#   gens    32 per matrix, for all n^2 - 1 of them: 31-32 at n = 2 (lambda = 300 and
+#           500) and n = 3 (30 to 50), 25 at n = 4 (12 and 16), 11 at n = 5 (6 and 8)
 #   gamma   243 with --lambda 30 and 50, 203 with --j 500 and 1000
 def _per_entry(nbytes: float) -> Callable[[int, int], int]:
     return lambda n, d: int(nbytes * d * d)
@@ -140,7 +153,7 @@ def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     """Emit ladder and Cartan matrices plus the commutation residual."""
     matrices = n * n - 1
     try:
-        _refuse_unfit(n, lam, _per_entry(112 * matrices if out is None else 150 + 16 * matrices))
+        _refuse_unfit(n, lam, _per_entry(32 * matrices))
         basis = bs.enumerate_basis(n, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -184,7 +197,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _per_entry(485 if out is None else 256))
+        _refuse_unfit(n, lam, _per_entry(160))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma
@@ -192,9 +205,8 @@ def cmd_phases(
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    emat, dmat = factors.unitary, factors.positive
     residuals = {
-        "unitarity": phases.unitarity_residual(emat),
+        "unitarity": phases.unitarity_residual(factors.monomial),
         "polar_identity": phases.polar_identity_residual(factors),
     }
     _emit_report(
@@ -207,7 +219,12 @@ def cmd_phases(
             "beta": beta,
             "gamma": gamma,
         },
-        {"dimension": len(basis), "E": emat, "D": dmat, "phi": phases.phase_hermitian(emat)},
+        {
+            "dimension": len(basis),
+            "E": factors.unitary,
+            "D": factors.positive,
+            "phi": phases.phase_hermitian(factors.monomial),
+        },
         out,
         residuals,
     )

@@ -15,7 +15,8 @@ array.  It measures how badly the corresponding phases fail to be additive;
 `noncommutativity_norm` and `sweep` quantify this across irreps and compare
 against the closed-form edge-counting predictions and `exact_raw_norm`.  Dense
 matrices appear only at the boundary: `polar_decompose` and `su2_shift_E`
-scatter E for the payloads, and `Monomial.from_dense` reads one back.
+scatter E for the payloads (`polar_decompose` keeps the `Monomial` too), and
+`Monomial.from_dense` reads dense input back.
 
 The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
@@ -39,13 +40,14 @@ import numpy as np
 from .basis import (
     OrderedBasis,
     Root,
+    StringPartition,
     check_root,
     dimension,
     enumerate_basis,
     kernel_states,
     su2_strings,
 )
-from .generators import _check_spin, cartan_matrix, generator_matrix
+from .generators import _check_spin, _ladder, cartan_matrix, generator_matrix
 from .pauli import complementary_E12, complementary_E23
 
 #: Unitary completion conventions: wrap phase of each cyclic string.
@@ -134,9 +136,13 @@ def su2_invariant_completion(
     strings get the identity.  Any other convention, "raw" included, raises
     ValueError.  The result is a signed permutation with real values.
     """
+    return _completion(su2_strings(basis, root), convention)
+
+
+def _completion(strings: StringPartition, convention: str) -> Monomial:
+    """The cyclic completion on an already sorted partition; see su2_invariant_completion."""
     if convention not in _WRAP_PHASE:
         raise ValueError(f"{convention!r} is not one of {tuple(_WRAP_PHASE)}")
-    strings = su2_strings(basis, root)
     order, bounds = strings.order, strings.bounds
     vals = np.ones(len(order))
     vals[order[bounds[1:] - 1][bounds[1:] - bounds[:-1] > 1]] = _WRAP_PHASE[convention]
@@ -149,7 +155,9 @@ class PolarFactors:
 
     E is unitary (or a partial isometry under the raw convention), D is the
     Hermitian PSD factor, ladder is C itself, and kernel_dimension counts the
-    columns of the partial isometry that had to be completed.
+    columns of the partial isometry that had to be completed.  monomial is
+    the completed E in the form it was built in, so the residuals and the
+    phase read it without a pass over the dense E; None under "raw".
     """
 
     unitary: np.ndarray
@@ -157,6 +165,7 @@ class PolarFactors:
     convention: str
     kernel_dimension: int
     ladder: np.ndarray
+    monomial: Monomial | None = None
 
 
 def polar_decompose(
@@ -184,7 +193,8 @@ def polar_decompose(
         emat = _COMPLEMENTARY[root](0.0 if angle is None else angle)
     elif angle is not None:
         raise ValueError(f"the {convention!r} completion takes no angle")
-    cmat = generator_matrix(basis, *root)
+    strings = su2_strings(basis, root)
+    cmat = _ladder(basis, strings)
     dmat = positive_factor(cmat)
     kernel = set(kernel_states(basis, root))
 
@@ -195,18 +205,24 @@ def polar_decompose(
             f"edge states {sorted(kernel)} for root {root}"
         )
 
+    monomial = None
     if convention == "raw":
         diag = np.real(np.diag(dmat)).copy()
         inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         emat = cmat * inv[np.newaxis, :]
-    elif convention != "complementary":
-        emat = su2_invariant_completion(basis, root, convention).dense()
+    elif convention == "complementary":
+        monomial = Monomial.from_dense(emat)
+    else:
+        e = _completion(strings, convention)
+        monomial = Monomial(e.rows, e.vals.astype(complex))
+        emat = monomial.dense()
     return PolarFactors(
         unitary=emat,
         positive=dmat,
         convention=convention,
         kernel_dimension=len(kernel),
         ladder=cmat,
+        monomial=monomial,
     )
 
 
@@ -221,55 +237,64 @@ def su2_shift_E(j: float) -> np.ndarray:
     return su2_invariant_completion(enumerate_basis(2, _check_spin(j)), (2, 1)).dense()
 
 
-def unitarity_residual(mat: np.ndarray) -> float:
+def unitarity_residual(mat: np.ndarray | Monomial) -> float:
     """Largest entry modulus of E^dag E - 1 for a monomial E.
 
     A monomial E (one nonzero v_k per row and column) has E^dag E = diag(|v_k|^2),
     so its residual is max | |v_k|^2 - 1 |, read off the nonzeros in O(d).
-    Any other input raises ValueError.
+    E is a `Monomial`, or a dense matrix read with `Monomial.from_dense`; any
+    other input raises ValueError.
     """
-    return _modulus_defect(Monomial.from_dense(mat).vals)
+    return _modulus_defect(_as_monomial(mat).vals)
 
 
 def polar_identity_residual(factors: PolarFactors) -> float:
     """Largest entry modulus of E D - C for a monomial E.
 
     Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from
-    E's nonzeros with no matrix product, whatever the structure of D.  Any E
-    that is not monomial raises ValueError.
+    E's nonzeros with no matrix product, whatever the structure of D.  The
+    nonzeros are factors.monomial when set, else read from the dense E; any
+    E that is not monomial raises ValueError.
     """
-    e = Monomial.from_dense(factors.unitary)
+    e = _as_monomial(factors.unitary if factors.monomial is None else factors.monomial)
     defect = e.vals[:, None] * factors.positive
     defect -= factors.ladder[e.rows]
     return float(np.max(np.abs(defect)))
+
+
+def _as_monomial(mat: np.ndarray | Monomial) -> Monomial:
+    return mat if isinstance(mat, Monomial) else Monomial.from_dense(mat)
 
 
 def _modulus_defect(vals: np.ndarray) -> float:
     return float(np.max(np.abs(vals.real**2 + vals.imag**2 - 1.0)))
 
 
-def phase_hermitian(unitary: np.ndarray) -> np.ndarray:
+def phase_hermitian(unitary: np.ndarray | Monomial) -> np.ndarray:
     """Hermitian phase matrix phi with exp(i phi) equal to the given unitary.
 
-    The unitary must be monomial, as every completed E is.  It splits into
-    cycles, and each cycle's block of phi is built exactly from its
-    eigenphases in (-pi, pi] (see `_cycle_phase`); when the cycle product is
-    +1 or -1, as for every signed permutation, an eigenvalue -1 gets +pi by
-    construction.  Input that is not monomial, or whose nonzeros are not of
-    unit modulus, raises ValueError: complete the polar factor first.
+    The unitary must be monomial, as every completed E is: a `Monomial`, or a
+    dense matrix read with `Monomial.from_dense`.  It splits into cycles, and
+    each cycle's block of phi is built exactly from its eigenphases in
+    (-pi, pi] (see `_cycle_phase`); when the cycle product is +1 or -1, as
+    for every signed permutation, an eigenvalue -1 gets +pi by construction.
+    Input that is not monomial, or whose nonzeros are not of unit modulus,
+    raises ValueError: complete the polar factor first.
     """
-    unitary = np.asarray(unitary, dtype=complex)
     try:
-        e = Monomial.from_dense(unitary)
+        e = _as_monomial(unitary)
     except ValueError:
         e = None
     if e is None or _modulus_defect(e.vals) > _UNITARITY_TOL:
         raise ValueError("input is not a monomial unitary; polar completion required first")
-    phi = np.zeros_like(unitary)
+    phi = np.zeros(e.shape, dtype=complex)
     for cycle in _cycles(e.rows):
-        block = np.ix_(cycle, cycle)
-        phi[block], rebuilt = _cycle_phase(e.vals[cycle])
-        if np.max(np.abs(rebuilt - unitary[block])) > 1e-10:
+        vals = e.vals[cycle].astype(complex)
+        phi[np.ix_(cycle, cycle)], rebuilt = _cycle_phase(vals)
+        # less the unitary on the cycle, whose column t holds vals[t] in row t + 1 (mod L)
+        t = np.arange(len(cycle))
+        rebuilt[(t + 1) % len(cycle), t] -= vals
+        if np.max(np.abs(rebuilt)) > 1e-10:
             raise RuntimeError("matrix logarithm failed to reproduce the unitary")
     return phi
 

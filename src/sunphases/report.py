@@ -5,14 +5,17 @@ values and numpy arrays, and it converts, spills and serializes them.
 Payloads are deterministic: keys sorted, complex entries as [re, im] pairs,
 floats serialized by repr (lossless round-trip), no locale formatting.  The
 timestamp is the only field allowed to differ between identical runs.
-Matrices stay numpy arrays until `dumps` renders each one once, with
-`matrix_payload` at its slot's indentation, to the exact text
-json.dumps(..., indent=2) would give its nested lists.  The renderer spells
-only the nonzero pairs and the pairs that open a row and repeats one string
-for each run of zero pairs between them, so its work scales with nonzeros
-plus rows; only copying the text scales with the number of entries.
-Matrices above the inline threshold are written to sidecar files referenced
-from the envelope so reports stay diffable.
+A payload is rendered as a stream of ASCII byte pieces, in order: the
+envelope text json.dumps(..., indent=2) gives between the matrices, and each
+matrix block by block, rendered by `matrix_payload` at its slot's
+indentation to the exact text json would give its nested lists.  `dump`
+writes the pieces to a binary stream as they come, so neither a matrix's
+nor the payload's full text is ever held; `dumps` joins the same pieces.
+The renderer spells only the nonzero pairs and the pairs that open a row,
+and each run of zero pairs between them is a slice of one row of zero
+pairs, so its work scales with nonzeros plus rows and its memory with one
+block.  Matrices above the inline threshold are streamed to sidecar files
+referenced from the envelope so reports stay diffable.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterator
 
 import numpy as np
 
@@ -42,32 +45,35 @@ _BLOCK = 32768
 
 
 @functools.cache
-def _separators(ndim: int, pad: str) -> tuple[tuple[str, ...], str]:
+def _separators(ndim: int, pad: str) -> tuple[tuple[bytes, ...], bytes]:
     """Text json writes around the leaves of an ndim-deep list at pad, read off a 2 x ... x 2 one.
 
     Entry t is the text where the t innermost lists restart, entry ndim the
-    text before the first leaf; the string is the text after the last leaf.
+    text before the first leaf; the last item is the text after the last leaf.
     """
     template = np.arange(2**ndim).reshape((2,) * ndim).tolist()
-    pieces = re.split(r"\d+", json.dumps(template, indent=2).replace("\n", "\n" + pad))
+    text = json.dumps(template, indent=2).replace("\n", "\n" + pad).encode()
+    pieces = re.split(rb"\d+", text)
     return tuple(pieces[2**t] for t in range(ndim)) + (pieces[0],), pieces[-1]
 
 
-def matrix_payload(mat: np.ndarray, pad: str) -> str:
-    """Non-empty complex matrix as nested [re, im] pairs, rendered at indentation pad.
+def matrix_payload(mat: np.ndarray, pad: str) -> Iterator[bytes]:
+    """Non-empty complex matrix as nested [re, im] pairs at indentation pad, one block at a time.
 
     A pair is special if it is nonzero (either bit pattern, so -0.0 counts)
     or opens a row.  Only special pairs are spelled: json spells each distinct
-    bit pattern once (repr, NaN, Infinity or -Infinity), and their restart
-    depths pick json's separators.  Each run of zero pairs between two of them
-    is one string repeated.  _BLOCK pairs are read at a time.
+    bit pattern once per block (repr, NaN, Infinity or -Infinity), and their
+    restart depths pick json's separators.  Each run of zero pairs between two
+    of them lies inside one row and is a slice of one row of zero pairs.
+    _BLOCK pairs are read at a time and each block's text is yielded as it is
+    joined, so no piece holds more than one block.
     """
     mat = np.ascontiguousarray(mat, dtype=complex)
     bits = mat.view(np.uint64).reshape(-1, 2)
     before, tail = _separators(mat.ndim + 1, pad)
-    zero = before[1] + "0.0" + before[0] + "0.0"  # a zero pair inside a row
+    zero = before[1] + b"0.0" + before[0] + b"0.0"  # a zero pair inside a row
     spans = np.cumprod(mat.shape[::-1]).tolist()
-    out = []
+    zeros = memoryview(zero * spans[0])
     last = -1
     for start in range(0, len(bits), _BLOCK):
         block = bits[start : start + _BLOCK]
@@ -77,7 +83,7 @@ def matrix_payload(mat: np.ndarray, pad: str) -> str:
         if not len(at):
             continue
         found, leaf = np.unique(block[at].ravel(), return_inverse=True)
-        words = np.array(json.dumps(found.view(float).tolist())[1:-1].split(", "), dtype=object)
+        words = json.dumps(found.view(float).tolist())[1:-1].encode().split(b", ")
         at += start
         # zero pairs before each special pair, back to the previous one in any block
         gaps = at - 1
@@ -87,13 +93,13 @@ def matrix_payload(mat: np.ndarray, pad: str) -> str:
         for span in spans:
             depth += at % span == 0
         parts = np.empty((len(at), 5), dtype=object)
-        parts[:, 0] = [zero * gap for gap in gaps.tolist()]
+        parts[:, 0] = [zeros[: len(zero) * gap] for gap in gaps.tolist()]
         parts[:, 1] = np.array(before, dtype=object)[depth]
-        parts[:, 2:5:2] = words[leaf.reshape(-1, 2)]
+        parts[:, 2:5:2] = np.array(words, dtype=object)[leaf.reshape(-1, 2)]
         parts[:, 3] = before[0]
-        out.append("".join(parts.ravel().tolist()))
+        yield b"".join(parts.ravel().tolist())
         last = at[-1]
-    return "".join([*out, zero * (len(bits) - 1 - last), tail])
+    yield b"".join([zeros[: len(zero) * (len(bits) - 1 - last)], tail])
 
 
 def _default(matrices: list[np.ndarray], value: Any) -> Any:
@@ -131,31 +137,48 @@ def envelope(
 def spill_large_matrices(env: dict[str, Any], out: Path | None) -> dict[str, Any]:
     """Move each result matrix with more than INLINE_DIM_LIMIT rows to a sidecar next to `out`.
 
-    Without an output path everything stays inline.
+    Each sidecar is streamed to its file by `dump`.  Without an output path
+    everything stays inline.
     """
     for name, value in env["results"].items():
         if out is not None and isinstance(value, np.ndarray) and len(value) > INLINE_DIM_LIMIT:
             side = out.with_name(f"{out.stem}.{name}.json")
-            side.write_text(dumps({"matrix": value}))
+            with side.open("wb") as fp:
+                dump({"matrix": value}, fp)
             env["results"][name] = {"file": side.name, "dimension": len(value)}
     return env
 
 
-def dumps(payload: dict[str, Any]) -> str:
-    """Sorted-key, indent=2 JSON; each matrix is rendered once, at the indentation of its slot."""
-    matrices: list[np.ndarray] = []
-    hook = functools.partial(_default, matrices)
-    pieces = json.dumps(payload, sort_keys=True, indent=2, default=hook).split(json.dumps(_SLOT))
+def _pieces(payload: dict[str, Any]) -> Iterator[bytes]:
+    """Sorted-key, indent=2 JSON as ASCII pieces: envelope text, each matrix block by block."""
+    found: list[np.ndarray] = []
+    hook = functools.partial(_default, found)
+    text = json.dumps(payload, sort_keys=True, indent=2, default=hook)
+    # json's indenting encoder keeps the hook in a reference cycle of closures that
+    # only the cyclic collector frees; emptying its list leaves the matrices to this frame.
+    matrices = found.copy()
+    found.clear()
+    pieces = text.split(json.dumps(_SLOT))
+    del text
     if len(pieces) != len(matrices) + 1:
         raise ValueError("a payload string equals the matrix slot")
-    out = [pieces[0]]
+    yield pieces[0].encode()
     for before, mat, after in zip(pieces, matrices, pieces[1:]):
         pad = re.match(" *", before[before.rfind("\n") + 1 :]).group()
-        out += [matrix_payload(mat, pad), after]
-    # json's indenting encoder keeps the hook in a reference cycle of closures that
-    # only the cyclic collector frees; emptying the list releases the matrices now.
-    matrices.clear()
-    return "".join([*out, "\n"])
+        yield from matrix_payload(mat, pad)
+        yield after.encode()
+    yield b"\n"
+
+
+def dump(payload: dict[str, Any], fp: BinaryIO) -> None:
+    """Write the JSON of `dumps` to the binary stream fp, one piece at a time."""
+    for piece in _pieces(payload):
+        fp.write(piece)
+
+
+def dumps(payload: dict[str, Any]) -> str:
+    """Sorted-key, indent=2 JSON; each matrix is rendered once, at the indentation of its slot."""
+    return b"".join(_pieces(payload)).decode("ascii")
 
 
 def _csv_cell(value: Any) -> str:

@@ -98,7 +98,7 @@ def suite_su3() -> list[Check]:
                 factors = phases.polar_decompose(basis, root, convention)
                 worst = max(
                     worst,
-                    phases.unitarity_residual(factors.unitary),
+                    phases.unitarity_residual(factors.monomial),
                     phases.polar_identity_residual(factors),
                 )
     checks.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunphases import basis as bs
-from sunphases import pauli, phases
+from sunphases import generators, pauli, phases
 from sunphases.generators import cartan_matrix, generator_matrix
 from sunphases.phases import Monomial
 
@@ -269,6 +270,57 @@ class TestCompletion:
         assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-12
         for k in bs.kernel_states(b, (1, 2)):
             assert np.all(factors.unitary[:, k] == 0)
+
+
+def bits(mat):
+    """The bit patterns of a complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(mat).view(np.uint64)
+
+
+class TestKeptMonomial:
+    """polar_decompose keeps the completed E as the Monomial it built, from the one
+    string partition it sorts; what is read from it equals what is read from the
+    dense E, bit for bit."""
+
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign"])
+    @pytest.mark.parametrize("n, lam", [(2, 5), (3, 0), (3, 4), (4, 3)])
+    def test_reads_equal_the_dense_reads(self, n, lam, convention):
+        b = bs.enumerate_basis(n, lam)
+        for root in ladder_roots(n):
+            factors = phases.polar_decompose(b, root, convention)
+            e = factors.monomial
+            assert np.array_equal(bits(e.dense()), bits(factors.unitary))
+            assert phases.unitarity_residual(e) == phases.unitarity_residual(factors.unitary)
+            dense = dataclasses.replace(factors, monomial=None)
+            assert phases.polar_identity_residual(factors) == phases.polar_identity_residual(dense)
+            phi = phases.phase_hermitian(e)
+            assert np.array_equal(bits(phi), bits(phases.phase_hermitian(factors.unitary)))
+
+    @pytest.mark.parametrize("root", [(1, 2), (2, 3)])
+    def test_complementary_keeps_its_monomial(self, root):
+        factors = phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", 0.7)
+        assert np.array_equal(bits(factors.monomial.dense()), bits(factors.unitary))
+
+    def test_raw_keeps_none(self):
+        assert phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), "raw").monomial is None
+
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw", "complementary"])
+    def test_strings_are_sorted_once(self, monkeypatch, convention):
+        calls = []
+
+        def counted(basis, root):
+            calls.append(root)
+            return bs.su2_strings(basis, root)
+
+        for module in (phases, generators):
+            monkeypatch.setattr(module, "su2_strings", counted)
+        phases.polar_decompose(bs.enumerate_basis(3, 1), (2, 3), convention)
+        assert calls == [(2, 3)]
+
+    def test_a_monomial_off_the_unit_circle_is_refused(self):
+        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 2), (1, 2))
+        with pytest.raises(ValueError, match="polar completion"):
+            phases.phase_hermitian(Monomial(e.rows, 2 * e.vals))
 
 
 class TestComplementaryConvention:

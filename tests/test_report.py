@@ -1,6 +1,8 @@
 import gc
+import io
 import json
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -199,17 +201,67 @@ def test_one_matrix_at_two_depths_matches_the_stock_encoder():
     assert report.dumps(payload) == stock(by_hand(payload))
 
 
-def test_dumps_lets_its_matrices_go_without_the_cyclic_collector():
+def _lets_its_matrices_go_without_the_cyclic_collector(render):
     # json's indenting encoder leaves its closures, the hook among them, in a cycle
     mat = np.eye(2, dtype=complex)
     ref = weakref.ref(mat)
     gc.disable()
     try:
-        report.dumps({"a": mat, "b": [mat]})
+        render({"a": mat, "b": [mat]})
         del mat
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_dumps_lets_its_matrices_go_without_the_cyclic_collector():
+    _lets_its_matrices_go_without_the_cyclic_collector(report.dumps)
+
+
+def test_dump_lets_its_matrices_go_without_the_cyclic_collector():
+    _lets_its_matrices_go_without_the_cyclic_collector(
+        lambda payload: report.dump(payload, io.BytesIO())
+    )
+
+
+def dumped(payload):
+    fp = io.BytesIO()
+    report.dump(payload, fp)
+    return fp.getvalue()
+
+
+#: Dicts of matrices and floats nested in lists and dicts, so matrices sit at several depths.
+deep_payloads = st.recursive(
+    st.dictionaries(st.text(max_size=3), sparse_arrays() | arrays() | st.floats(), max_size=3),
+    lambda inner: (
+        st.lists(inner, min_size=1, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, min_size=1, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(deep_payloads, st.sampled_from([1, 2, 7, report._BLOCK]))
+def test_dump_writes_the_stock_encoding_at_any_block(tree, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_BLOCK", block)
+        assert dumped({"payload": tree}) == stock({"payload": by_hand(tree)}).encode()
+        assert report.dumps({"payload": tree}) == stock({"payload": by_hand(tree)})
+
+
+def test_dump_writes_nothing_for_a_refused_payload():
+    fp = io.BytesIO()
+    with pytest.raises(ValueError):
+        report.dump({"matrix": np.eye(2), "text": report._SLOT}, fp)
+    assert fp.getvalue() == b""
+
+
+@pytest.mark.parametrize("rows", [LIMIT + 1, 9])
+def test_a_sidecar_holds_what_dumps_gives_its_matrix(tmp_path, rows):
+    mat = matrix(rows) * (1 - (np.arange(rows) % 2))  # every other column zero
+    spill(mat, tmp_path / "run.json")
+    assert (tmp_path / "run.E.json").read_bytes() == report.dumps({"matrix": mat}).encode()
 
 
 def test_a_payload_string_equal_to_the_slot_is_refused():
@@ -268,3 +320,22 @@ def test_inline_gens_payload_is_the_stock_encoding():
         results,
         {"commutation": commutation_residual(gens)},
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["phases", "--n", "3", "--lambda", "5", "--root", "3,1", "--convention", "paper-sign"],
+        ["phases", "--n", "2", "--lambda", "6"],
+        ["gens", "--n", "3", "--lambda", "3"],
+    ],
+)
+def test_stdout_holds_the_bytes_of_the_out_file(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(report, "INLINE_DIM_LIMIT", 400)
+    stamp = re.compile(rb'^  "timestamp": .*\n', re.M)
+    inline = CliRunner().invoke(main, args)
+    out = tmp_path / "run.json"
+    assert inline.exit_code == CliRunner().invoke(main, [*args, "--out", str(out)]).exit_code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    assert stamp.sub(b"", inline.stdout_bytes) == stamp.sub(b"", out.read_bytes())
+    assert len(stamp.findall(inline.stdout_bytes)) == 1
