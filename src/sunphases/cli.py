@@ -6,12 +6,11 @@ residual breach of `gens` or `phases` (an implementation bug, not bad input).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Any, Callable
 
 import click
 import numpy as np
@@ -28,22 +27,11 @@ EXIT_RESIDUAL_BREACH = 3
 _ANGLE_ROOTS = {"beta": (1, 2), "gamma": (2, 3)}
 
 
-@contextlib.contextmanager
-def _output(out: Path | None) -> Iterator[BinaryIO]:
-    """Binary stream to out, or to stdout's buffer once its text layer is flushed."""
-    if out is not None:
-        with out.open("wb") as fp:
-            yield fp
-        return
-    sys.stdout.flush()
-    stream = click.get_binary_stream("stdout")
-    yield stream
-    stream.flush()
-
-
 def _emit(text: str, out: Path | None) -> None:
-    with _output(out) as fp:
-        fp.write(text.encode())
+    if out is None:
+        click.echo(text, nl=False)
+    else:
+        out.write_text(text)
 
 
 def _emit_report(
@@ -53,11 +41,22 @@ def _emit_report(
     out: Path | None,
     residuals: dict[str, float] | None = None,
 ) -> None:
-    """Envelope the values, spill matrices too large to inline, stream the JSON."""
+    """Envelope the values, spill matrices too large to inline, emit the JSON.
+
+    Without out the JSON streams to stdout's binary buffer.  With out each matrix
+    above the inline limit streams to its sidecar, and the envelope, left with
+    matrices of at most report.INLINE_DIM_LIMIT rows, is rendered whole before
+    the file is opened: a payload `report` refuses leaves an existing file as it was.
+    """
     env = report.envelope(command, parameters, results, residuals)
     report.spill_large_matrices(env, out)
-    with _output(out) as fp:
-        report.dump(env, fp)
+    if out is not None:
+        _emit(report.dumps(env), out)
+        return
+    sys.stdout.flush()
+    stream = click.get_binary_stream("stdout")
+    report.dump(env, stream)
+    stream.flush()
 
 
 def _physical_memory() -> int:
@@ -81,17 +80,29 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 
 
 # Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two
-# sizes each and taken as the slope between them.  Reports stream to their file or
-# stdout, so --out no longer changes the peak of phases or gens.
-#   phases  160: the largest reading, 157, is at n = 2 (lambda = 600 and 1000, one
-#           cycle, so phi is dense and the cycle logarithm's temporaries are d x d;
-#           155-158 over repeated runs, inline and --out alike); n = 3 (lambda = 30
-#           and 50), n = 4 (14 and 18) and n = 5 (8 and 10) read 78-80
-#   gens    32 per matrix, for all n^2 - 1 of them: 31-32 at n = 2 (lambda = 300 and
-#           500) and n = 3 (30 to 50), 25 at n = 4 (12 and 16), 11 at n = 5 (6 and 8)
+# sizes each and taken as the slope between them, then given a quarter or more of
+# headroom over the largest reading.  phases and gens stream their matrices to
+# stdout or to sidecars; with --out, matrices of at most report.INLINE_DIM_LIMIT
+# rows stay in the envelope, whose text is held whole, so that case has its own figure.
+#   phases  200 streamed: the largest reading, 157.6, is at n = 2 (lambda = 600 and
+#           1000, one cycle, so phi is dense and the cycle logarithm's temporaries
+#           are d x d; 154.9-157.6 in 5 runs inline and 5 with --out); n = 3 (lambda =
+#           30 and 50), n = 4 (14 and 18) and n = 5 (8 and 10) read 78-80.
+#           650 held: 458 at n = 2 (lambda = 250 and 399), 516 at n = 3 (20 and 26)
+#   gens    per matrix, for all n^2 - 1 of them.  40 streamed: 31-32 at n = 2
+#           (lambda = 300 and 500) and n = 3 (30 to 50), 25 at n = 4 (12 and 16),
+#           11 at n = 5 (6 and 8).  210 held: 109 at n = 3 (lambda = 20 and 26),
+#           124 at n = 4 (8 and 11), 167 at n = 5 (5 and 7)
 #   gamma   243 with --lambda 30 and 50, 203 with --j 500 and 1000
 def _per_entry(nbytes: float) -> Callable[[int, int], int]:
     return lambda n, d: int(nbytes * d * d)
+
+
+def _report_entry(streamed: float, held: float, out: Path | None) -> Callable[[int, int], int]:
+    """Bytes per d x d entry of a matrix report: held when --out keeps its matrices inline."""
+    return lambda n, d: int(
+        (held if out is not None and d <= report.INLINE_DIM_LIMIT else streamed) * d * d
+    )
 
 
 def _refuse_unfit(n: int, lam: int, nbytes: Callable[[int, int], int]) -> None:
@@ -153,7 +164,7 @@ def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     """Emit ladder and Cartan matrices plus the commutation residual."""
     matrices = n * n - 1
     try:
-        _refuse_unfit(n, lam, _per_entry(32 * matrices))
+        _refuse_unfit(n, lam, _report_entry(40 * matrices, 210 * matrices, out))
         basis = bs.enumerate_basis(n, lam)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -197,7 +208,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _per_entry(160))
+        _refuse_unfit(n, lam, _report_entry(200, 650, out))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma

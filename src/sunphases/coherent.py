@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .basis import OrderedBasis, enumerate_basis, su2_strings
+from .basis import OrderedBasis, enumerate_basis
 from .generators import (
     GeneratorSet,
     SU2Matrices,
@@ -37,7 +37,7 @@ _MAX_TWO_J = 2053
 
 def _coherent_ladder(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
     """C_ij with the bare occupation n_j as coefficient: z_i d/dz_j on monomials."""
-    return _weight_shift(basis, su2_strings(basis, (i, j)), lambda ni, nj: nj)
+    return _weight_shift(basis, i, j, lambda ni, nj: nj)
 
 
 def gamma_su2(j: float) -> SU2Matrices:

@@ -15,36 +15,20 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import (
-    OrderedBasis,
-    Root,
-    StringPartition,
-    enumerate_basis,
-    root_components,
-    su2_strings,
-)
+from .basis import OrderedBasis, Root, enumerate_basis, root_components, su2_strings
 
 
-def _weight_shift(
-    basis: OrderedBasis, strings: StringPartition, coefficient: Callable
-) -> np.ndarray:
-    """Matrix moving one boson from mode j to mode i along the strings of root (i, j).
+def _weight_shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> np.ndarray:
+    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j).
 
-    The entry is coefficient(n_i, n_j) on the occupation columns, which must
-    vanish where n_j = 0: there the image wraps to the bottom of the string,
-    and the entry stays zero.
+    coefficient takes the occupation columns and must vanish where n_j = 0:
+    there the image wraps to the bottom of the string, and the entry stays zero.
     """
-    i, j = strings.root
-    image = strings.image
+    image = su2_strings(basis, (i, j)).image
     occ = basis.occupations
     mat = np.zeros((len(image), len(image)), dtype=complex)
     mat[image, np.arange(len(image))] = coefficient(occ[:, i - 1], occ[:, j - 1])
     return mat
-
-
-def _ladder(basis: OrderedBasis, strings: StringPartition) -> np.ndarray:
-    """C_ij on the strings of root (i, j): sqrt(n_j (n_i + 1)) at each image."""
-    return _weight_shift(basis, strings, lambda ni, nj: np.sqrt(nj * (ni + 1)))
 
 
 def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
@@ -55,7 +39,7 @@ def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
     """
     if i == j:
         raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
-    return _ladder(basis, su2_strings(basis, (i, j)))
+    return _weight_shift(basis, i, j, lambda ni, nj: np.sqrt(nj * (ni + 1)))
 
 
 def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:

@@ -40,14 +40,13 @@ import numpy as np
 from .basis import (
     OrderedBasis,
     Root,
-    StringPartition,
     check_root,
     dimension,
     enumerate_basis,
     kernel_states,
     su2_strings,
 )
-from .generators import _check_spin, _ladder, cartan_matrix, generator_matrix
+from .generators import _check_spin, cartan_matrix, generator_matrix
 from .pauli import complementary_E12, complementary_E23
 
 #: Unitary completion conventions: wrap phase of each cyclic string.
@@ -136,13 +135,9 @@ def su2_invariant_completion(
     strings get the identity.  Any other convention, "raw" included, raises
     ValueError.  The result is a signed permutation with real values.
     """
-    return _completion(su2_strings(basis, root), convention)
-
-
-def _completion(strings: StringPartition, convention: str) -> Monomial:
-    """The cyclic completion on an already sorted partition; see su2_invariant_completion."""
     if convention not in _WRAP_PHASE:
         raise ValueError(f"{convention!r} is not one of {tuple(_WRAP_PHASE)}")
+    strings = su2_strings(basis, root)
     order, bounds = strings.order, strings.bounds
     vals = np.ones(len(order))
     vals[order[bounds[1:] - 1][bounds[1:] - bounds[:-1] > 1]] = _WRAP_PHASE[convention]
@@ -193,8 +188,7 @@ def polar_decompose(
         emat = _COMPLEMENTARY[root](0.0 if angle is None else angle)
     elif angle is not None:
         raise ValueError(f"the {convention!r} completion takes no angle")
-    strings = su2_strings(basis, root)
-    cmat = _ladder(basis, strings)
+    cmat = generator_matrix(basis, *root)
     dmat = positive_factor(cmat)
     kernel = set(kernel_states(basis, root))
 
@@ -213,7 +207,7 @@ def polar_decompose(
     elif convention == "complementary":
         monomial = Monomial.from_dense(emat)
     else:
-        e = _completion(strings, convention)
+        e = su2_invariant_completion(basis, root, convention)
         monomial = Monomial(e.rows, e.vals.astype(complex))
         emat = monomial.dense()
     return PolarFactors(
@@ -252,11 +246,12 @@ def polar_identity_residual(factors: PolarFactors) -> float:
     """Largest entry modulus of E D - C for a monomial E.
 
     Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from
-    E's nonzeros with no matrix product, whatever the structure of D.  The
-    nonzeros are factors.monomial when set, else read from the dense E; any
-    E that is not monomial raises ValueError.
+    the nonzeros of factors.monomial with no matrix product, whatever the
+    structure of D.  Factors without a monomial E ("raw") raise ValueError.
     """
-    e = _as_monomial(factors.unitary if factors.monomial is None else factors.monomial)
+    e = factors.monomial
+    if e is None:
+        raise ValueError("polar identity residual needs a monomial E; complete the factor first")
     defect = e.vals[:, None] * factors.positive
     defect -= factors.ladder[e.rows]
     return float(np.max(np.abs(defect)))

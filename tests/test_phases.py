@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunphases import basis as bs
-from sunphases import generators, pauli, phases
+from sunphases import pauli, phases
 from sunphases.generators import cartan_matrix, generator_matrix
 from sunphases.phases import Monomial
 
@@ -278,9 +278,8 @@ def bits(mat):
 
 
 class TestKeptMonomial:
-    """polar_decompose keeps the completed E as the Monomial it built, from the one
-    string partition it sorts; what is read from it equals what is read from the
-    dense E, bit for bit."""
+    """polar_decompose keeps the completed E as the Monomial it built; what is read
+    from it equals what is read from the dense E, bit for bit."""
 
     @pytest.mark.parametrize("convention", ["plus", "paper-sign"])
     @pytest.mark.parametrize("n, lam", [(2, 5), (3, 0), (3, 4), (4, 3)])
@@ -291,7 +290,7 @@ class TestKeptMonomial:
             e = factors.monomial
             assert np.array_equal(bits(e.dense()), bits(factors.unitary))
             assert phases.unitarity_residual(e) == phases.unitarity_residual(factors.unitary)
-            dense = dataclasses.replace(factors, monomial=None)
+            dense = dataclasses.replace(factors, monomial=Monomial.from_dense(factors.unitary))
             assert phases.polar_identity_residual(factors) == phases.polar_identity_residual(dense)
             phi = phases.phase_hermitian(e)
             assert np.array_equal(bits(phi), bits(phases.phase_hermitian(factors.unitary)))
@@ -303,19 +302,6 @@ class TestKeptMonomial:
 
     def test_raw_keeps_none(self):
         assert phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), "raw").monomial is None
-
-    @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw", "complementary"])
-    def test_strings_are_sorted_once(self, monkeypatch, convention):
-        calls = []
-
-        def counted(basis, root):
-            calls.append(root)
-            return bs.su2_strings(basis, root)
-
-        for module in (phases, generators):
-            monkeypatch.setattr(module, "su2_strings", counted)
-        phases.polar_decompose(bs.enumerate_basis(3, 1), (2, 3), convention)
-        assert calls == [(2, 3)]
 
     def test_a_monomial_off_the_unit_circle_is_refused(self):
         e = phases.su2_invariant_completion(bs.enumerate_basis(3, 2), (1, 2))
@@ -429,15 +415,23 @@ class TestPolarIdentityResidual:
         rng = np.random.default_rng(seed)
         d = len(e)
         dmat, cmat = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        factors = phases.PolarFactors(e, dmat, "test", 0, cmat)
+        factors = phases.PolarFactors(e, dmat, "test", 0, cmat, Monomial.from_dense(e))
         assert phases.polar_identity_residual(factors) == pytest.approx(
             dense_polar_identity(factors), rel=1e-14
         )
 
     def test_other_unitaries_are_refused(self):
+        # a shear has no Monomial, so its factors carry none
         shear = np.array([[1, 1], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="monomial"):
+            Monomial.from_dense(shear)
+        with pytest.raises(ValueError, match="monomial"):
             phases.polar_identity_residual(phases.PolarFactors(shear, shear, "test", 0, shear))
+
+    def test_raw_factors_are_refused(self):
+        factors = phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), "raw")
+        with pytest.raises(ValueError, match="monomial"):
+            phases.polar_identity_residual(factors)
 
 
 class TestShift:

@@ -339,3 +339,13 @@ def test_stdout_holds_the_bytes_of_the_out_file(tmp_path, monkeypatch, args):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
     assert stamp.sub(b"", inline.stdout_bytes) == stamp.sub(b"", out.read_bytes())
     assert len(stamp.findall(inline.stdout_bytes)) == 1
+
+
+def test_a_refused_payload_leaves_the_out_file_as_it_was(tmp_path, monkeypatch):
+    # a slot the payload also spells: the convention parameter's value
+    monkeypatch.setattr(report, "_SLOT", "plus")
+    out = tmp_path / "run.json"
+    out.write_bytes(b"an earlier report\n")
+    result = CliRunner().invoke(main, ["phases", "--n", "3", "--lambda", "2", "--out", str(out)])
+    assert isinstance(result.exception, ValueError)
+    assert out.read_bytes() == b"an earlier report\n"
