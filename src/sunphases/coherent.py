@@ -35,9 +35,14 @@ from .phases import positive_factor, su2_shift_E
 _MAX_TWO_J = 2053
 
 
+def _occupation_coefficient(ni: np.ndarray, nj: np.ndarray) -> np.ndarray:
+    """The bare occupation n_j: z_i d/dz_j on monomials."""
+    return nj
+
+
 def _coherent_ladder(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
-    """C_ij with the bare occupation n_j as coefficient: z_i d/dz_j on monomials."""
-    return _weight_shift(basis, i, j, lambda ni, nj: nj)
+    """C_ij with the bare occupation n_j as coefficient."""
+    return _weight_shift(basis, i, j, _occupation_coefficient)
 
 
 def gamma_su2(j: float) -> SU2Matrices:
@@ -139,7 +144,7 @@ def gamma_su3(lam: int) -> GeneratorSet:
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    return _generator_set(enumerate_basis(3, lam), _coherent_ladder)
+    return _generator_set(enumerate_basis(3, lam), _occupation_coefficient)
 
 
 def gamma_su3_commutation_residual(gamma: GeneratorSet) -> float:

@@ -2,15 +2,18 @@
 
 Matrix elements come from exact integer occupation arithmetic, square-rooted
 once, so the commutation residuals of the boson realization stay at machine
-epsilon.  Every ladder is one scatter of its coefficient, evaluated on the
-occupation columns, at the su(2)-string image (`StringPartition.image`); the
-matrices are returned dense, as the payloads and the commutation checks read them.
+epsilon.  Every ladder is a weighted partial permutation: its coefficient,
+evaluated on the occupation columns, sits at the su(2)-string image
+(`StringPartition.image`) of each column.  A `GeneratorSet` keeps the ladders
+in that form and `commutation_residual` composes them by gathers; dense
+matrices are scattered only where a payload or a caller reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -18,17 +21,35 @@ import numpy as np
 from .basis import OrderedBasis, Root, enumerate_basis, root_components, su2_strings
 
 
-def _weight_shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> np.ndarray:
-    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j).
+def _shift_arrays(
+    basis: OrderedBasis, i: int, j: int, coefficient: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Image and coefficients of the shift moving one boson from mode j to mode i.
 
-    coefficient takes the occupation columns and must vanish where n_j = 0:
-    there the image wraps to the bottom of the string, and the entry stays zero.
+    Column c of the shift holds coefficient(n_i, n_j) at row image[c].  coefficient
+    takes the occupation columns and must vanish where n_j = 0: there the image
+    wraps to the bottom of the string.
     """
     image = su2_strings(basis, (i, j)).image
     occ = basis.occupations
+    return image, np.asarray(coefficient(occ[:, i - 1], occ[:, j - 1]), dtype=float)
+
+
+def _scatter(image: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Dense complex matrix with coefficients[c] at row image[c] of each column c."""
     mat = np.zeros((len(image), len(image)), dtype=complex)
-    mat[image, np.arange(len(image))] = coefficient(occ[:, i - 1], occ[:, j - 1])
+    mat[image, np.arange(len(image))] = coefficients
     return mat
+
+
+def _weight_shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> np.ndarray:
+    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j)."""
+    return _scatter(*_shift_arrays(basis, i, j, coefficient))
+
+
+def _boson_coefficient(ni: np.ndarray, nj: np.ndarray) -> np.ndarray:
+    """sqrt(n_j (n_i + 1)), the matrix element of a_i^dag a_j."""
+    return np.sqrt(nj * (ni + 1))
 
 
 def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
@@ -39,7 +60,7 @@ def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
     """
     if i == j:
         raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
-    return _weight_shift(basis, i, j, lambda ni, nj: np.sqrt(nj * (ni + 1)))
+    return _weight_shift(basis, i, j, _boson_coefficient)
 
 
 def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:
@@ -57,30 +78,50 @@ def cartan_matrix(basis: OrderedBasis, k: int) -> np.ndarray:
     return np.diag((occ[:, k - 1] - occ[:, k]).astype(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """All ladder matrices C_ij (i != j) and Cartan matrices on one basis."""
+    """All ladders C_ij (i != j) on one basis, each a weighted partial permutation.
+
+    Row p of the (P, d) arrays `images` and `coefficients` is the ladder roots[p]:
+    column c of C holds coefficients[p, c] at row images[p, c], zero on the wrap
+    column of each string.  The dense `ladders` and `cartans` are built on
+    first use.
+    """
 
     basis: OrderedBasis
-    ladders: dict[Root, np.ndarray]
-    cartans: tuple[np.ndarray, ...]
+    roots: tuple[Root, ...]
+    images: np.ndarray
+    coefficients: np.ndarray
+
+    @cached_property
+    def ladders(self) -> dict[Root, np.ndarray]:
+        """Dense ladder matrices, keyed by root."""
+        pairs = zip(self.images, self.coefficients)
+        return {root: _scatter(*pair) for root, pair in zip(self.roots, pairs)}
+
+    @cached_property
+    def cartans(self) -> tuple[np.ndarray, ...]:
+        """Dense Cartan matrices h_1, ..., h_{n-1}."""
+        return tuple(cartan_matrix(self.basis, k) for k in range(1, self.basis.n))
 
 
-def _generator_set(basis: OrderedBasis, ladder: Callable[..., np.ndarray]) -> GeneratorSet:
-    """Every ladder(basis, i, j) with i != j, plus the Cartan matrices."""
-    ladders = {
-        (i, j): ladder(basis, i, j)
-        for i in range(1, basis.n + 1)
-        for j in range(1, basis.n + 1)
-        if i != j
-    }
-    cartans = tuple(cartan_matrix(basis, k) for k in range(1, basis.n))
-    return GeneratorSet(basis=basis, ladders=ladders, cartans=cartans)
+def _generator_set(basis: OrderedBasis, coefficient: Callable) -> GeneratorSet:
+    """Every ladder with i != j, weighted by coefficient(n_i, n_j) as in `_shift_arrays`."""
+    n = basis.n
+    roots = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
+    images, coefficients = zip(*(_shift_arrays(basis, i, j, coefficient) for i, j in roots))
+    return GeneratorSet(basis, roots, np.stack(images), np.stack(coefficients))
 
 
 def build_generators(basis: OrderedBasis) -> GeneratorSet:
     """Construct the full generator set for the basis."""
-    return _generator_set(basis, generator_matrix)
+    return _generator_set(basis, _boson_coefficient)
+
+
+#: Most (ladder pair, column) entries that `commutation_residual` composes at once.
+#: A block holds about 40 words per entry, so its temporaries stay in cache, and
+#: small irreps peak no higher than dense products of their matrices did.
+_PAIR_BLOCK = 1 << 10
 
 
 def commutation_residual(gens: GeneratorSet) -> float:
@@ -88,31 +129,54 @@ def commutation_residual(gens: GeneratorSet) -> float:
 
     Checks [C_ij, C_kl] = d_jk C_il - d_il C_kj over all index quadruples,
     and [h_k, C_ij] = (root component) C_ij for every ladder operator.
+
+    Column c of a product of two ladders is one entry, found by following
+    both images, so every term is a gather and no matrix is formed.  The
+    arithmetic is the dense one entry by entry, (AB - BA) - E with
+    E = (0.0 + X) - Y, and each row that a term lands on is summed on its
+    own, so the residual equals that of dense products bit for bit, also
+    for a set whose images disagree.
     """
     basis = gens.basis
-    n = basis.n
-    occupations = {i: number_matrix(basis, i) for i in range(1, n + 1)}
-
-    def op(i: int, j: int) -> np.ndarray:
-        return gens.ladders[(i, j)] if i != j else occupations[i]
+    n, d = basis.n, len(basis)
+    images, coefficients = gens.images, gens.coefficients
+    count = len(gens.roots)
+    occ = basis.occupations.astype(float)
+    # operators by slot: the ladders, the number operators C_ii, a zero operator
+    rows = np.concatenate((images, np.broadcast_to(np.arange(d), (n + 1, d)))).ravel()
+    vals = np.concatenate((coefficients, occ.T, np.zeros((1, d)))).ravel()
+    zero = count + n
+    slot = np.full((n + 1, n + 1), zero)
+    first, second = np.array(gens.roots).T
+    slot[first, second] = np.arange(count)
+    slot[range(1, n + 1), range(1, n + 1)] = count + np.arange(n)
+    # pair (p, q) = [C_ij, C_kl]: X = C_il if j = k, Y = C_kj if i = l
+    i, j, k, l = first[:, None], second[:, None], first, second
+    plus = np.where(j == k, slot[i, l], zero)[..., None] * d
+    minus = np.where(i == l, slot[k, j], zero)[..., None] * d
+    cartan = (occ[:, :-1] - occ[:, 1:]).T  # row k - 1: the diagonal of h_k
+    shift = np.array([root_components(n, root) for root in gens.roots], dtype=float).T
 
     residual = 0.0
-    pairs = list(gens.ladders)
-    for (i, j) in pairs:
-        a = gens.ladders[(i, j)]
-        for (k, l) in pairs:
-            b = gens.ladders[(k, l)]
-            expected = 0.0
-            if j == k:
-                expected = op(i, l)
-            if i == l:
-                expected = expected - op(k, j)
-            defect = a @ b - b @ a - expected
-            residual = max(residual, float(np.max(np.abs(defect))))
-        shift = root_components(n, (i, j))
-        for k, h in enumerate(gens.cartans):
-            defect = h @ a - a @ h - shift[k] * a
-            residual = max(residual, float(np.max(np.abs(defect))))
+    step = max(1, _PAIR_BLOCK // (count * d))
+    for lo in range(0, count, step):
+        a = np.arange(lo, min(lo + step, count))
+        # flat slots of the terms AB, BA, X and Y in every column of every pair
+        flat = np.empty((4, len(a), count, d), dtype=np.intp)
+        flat[0] = a[:, None, None] * d + images
+        flat[1] = np.arange(count)[:, None] * d + images[a][:, None, :]
+        flat[2], flat[3] = plus[a] + np.arange(d), minus[a] + np.arange(d)
+        row, val = rows[flat], vals[flat]
+        val[0] *= coefficients
+        val[1] *= coefficients[a][:, None, :]
+        # on[t, s]: term s where it lands on the row of term t, else zero
+        on = np.where(row[:, None] == row, val, 0.0)
+        defect = (on[:, 0] - on[:, 1]) - ((0.0 + on[:, 2]) - on[:, 3])
+        residual = max(residual, float(np.max(np.abs(defect))))
+        # [h_k, C]: all three terms land on the row images[a]
+        v = coefficients[a]
+        defect = (cartan[:, images[a]] * v - v * cartan[:, None, :]) - shift[:, a, None] * v
+        residual = max(residual, float(np.max(np.abs(defect))))
     return residual
 
 

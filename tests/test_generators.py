@@ -1,13 +1,19 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunphases import basis as bs
-from sunphases.coherent import _coherent_ladder
+from sunphases import coherent, generators
+from sunphases.cli import main
+from sunphases.coherent import _coherent_ladder, _occupation_coefficient
 from sunphases.generators import (
+    _generator_set,
     build_generators,
     cartan_matrix,
     commutation_residual,
@@ -124,6 +130,133 @@ def test_cartans_traceless(lam):
 def test_commutation_relations(n, lam):
     gens = build_generators(bs.enumerate_basis(n, lam))
     assert commutation_residual(gens) < 1e-12
+
+
+def dense_commutation_residual(gens):
+    """Oracle: the relations of `commutation_residual` checked with dense products."""
+    basis = gens.basis
+    n = basis.n
+    occupations = {i: number_matrix(basis, i) for i in range(1, n + 1)}
+
+    def op(i, j):
+        return gens.ladders[(i, j)] if i != j else occupations[i]
+
+    residual = 0.0
+    pairs = list(gens.ladders)
+    for (i, j) in pairs:
+        a = gens.ladders[(i, j)]
+        for (k, l) in pairs:
+            b = gens.ladders[(k, l)]
+            expected = 0.0
+            if j == k:
+                expected = op(i, l)
+            if i == l:
+                expected = expected - op(k, j)
+            defect = a @ b - b @ a - expected
+            residual = max(residual, float(np.max(np.abs(defect))))
+        shift = bs.root_components(n, (i, j))
+        for k, h in enumerate(gens.cartans):
+            defect = h @ a - a @ h - shift[k] * a
+            residual = max(residual, float(np.max(np.abs(defect))))
+    return residual
+
+
+def same_bits(x, y):
+    return np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
+
+
+#: The Hermitian and the coherent-state (bare occupation) generator sets.
+REALIZATIONS = (build_generators, lambda b: _generator_set(b, _occupation_coefficient))
+
+#: Largest lambda drawn per n for the dense residual oracle.
+ORACLE_LAM_MAX = {2: 12, 3: 7, 4: 5, 5: 3, 6: 2}
+
+
+def irreps(lam_min=0):
+    return st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(lam_min, ORACLE_LAM_MAX[n]))
+    )
+
+
+#: Pair blocks of one ladder, of a few, and the module's own.
+BLOCKS = (1, 97, generators._PAIR_BLOCK)
+
+
+@settings(deadline=None, max_examples=40)
+@given(irreps(), st.sampled_from(REALIZATIONS), st.sampled_from(BLOCKS))
+def test_residual_is_bit_identical_to_dense_products(irrep, realization, block):
+    gens = realization(bs.enumerate_basis(*irrep))
+    with mock.patch.object(generators, "_PAIR_BLOCK", block):
+        got = commutation_residual(gens)
+    assert same_bits(got, dense_commutation_residual(gens))
+    assert got < 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    irreps(lam_min=1),
+    st.sampled_from(REALIZATIONS),
+    st.sampled_from(["move", "scale", "swap"]),
+    st.sampled_from([-1.0, 0.5, 2.0, 1 + 2.0**-20]),
+    st.sampled_from(BLOCKS),
+    st.data(),
+)
+def test_a_corrupted_set_fails_exactly_as_dense_products_do(
+    irrep, realization, kind, factor, block, data
+):
+    # the index checker must catch every corruption that the dense check catches
+    gens = realization(bs.enumerate_basis(*irrep))
+    images, coefficients = gens.images.copy(), gens.coefficients.copy()
+    p = data.draw(st.integers(0, len(gens.roots) - 1))
+    c = data.draw(st.sampled_from(np.flatnonzero(coefficients[p]).tolist()))
+    if kind == "move":
+        others = sorted(set(range(len(gens.basis))) - {int(images[p, c])})
+        images[p, c] = data.draw(st.sampled_from(others))
+    elif kind == "scale":
+        coefficients[p, c] *= factor
+    else:
+        q = data.draw(st.integers(0, len(gens.roots) - 1).filter(lambda q: q != p))
+        images[[p, q]], coefficients[[p, q]] = images[[q, p]], coefficients[[q, p]]
+    broken = dataclasses.replace(gens, images=images, coefficients=coefficients)
+    with mock.patch.object(generators, "_PAIR_BLOCK", block):
+        got = commutation_residual(broken)
+    assert same_bits(got, dense_commutation_residual(broken))
+    assert got > 1e-12
+
+
+@pytest.mark.parametrize("n,lam", [(2, 5), (3, 4), (4, 3), (5, 2)])
+def test_the_check_scatters_no_dense_matrix(n, lam):
+    gens = build_generators(bs.enumerate_basis(n, lam))
+    commutation_residual(gens)
+    assert "ladders" not in gens.__dict__ and "cartans" not in gens.__dict__
+
+
+def test_gamma_lambda_scatters_no_dense_matrix(monkeypatch):
+    built = []
+
+    def spy(lam):
+        built.append(gamma_su3(lam))
+        return built[-1]
+
+    gamma_su3 = coherent.gamma_su3
+    monkeypatch.setattr(coherent, "gamma_su3", spy)
+    result = CliRunner().invoke(main, ["gamma", "--lambda", "4"])
+    assert result.exit_code == 0, result.output
+    [gens] = built
+    assert "ladders" not in gens.__dict__ and "cartans" not in gens.__dict__
+
+
+@pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 3), (5, 2)])
+def test_scattered_ladders_are_the_builders_bit_for_bit(n, lam):
+    b = bs.enumerate_basis(n, lam)
+    for realization, builder in zip(REALIZATIONS, (generator_matrix, _coherent_ladder)):
+        gens = realization(b)
+        assert list(gens.ladders) == list(gens.roots)
+        for (i, j), mat in gens.ladders.items():
+            want = builder(b, i, j)
+            assert np.array_equal(mat.view(np.uint64), want.view(np.uint64))
+        for k, h in enumerate(gens.cartans, start=1):
+            assert np.array_equal(h.view(np.uint64), cartan_matrix(b, k).view(np.uint64))
 
 
 def test_hermitian_pairing_exact():
