@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import OrderedBasis, Root, enumerate_basis, root_components, su2_strings
+from .basis import OrderedBasis, Root, enumerate_basis, su2_strings
 
 
 def _shift_arrays(
@@ -143,19 +143,21 @@ def commutation_residual(gens: GeneratorSet) -> float:
     count = len(gens.roots)
     occ = basis.occupations.astype(float)
     # operators by slot: the ladders, the number operators C_ii, a zero operator
-    rows = np.concatenate((images, np.broadcast_to(np.arange(d), (n + 1, d)))).ravel()
+    rows = np.concatenate((images.ravel(), np.arange((n + 1) * d) % d))
     vals = np.concatenate((coefficients, occ.T, np.zeros((1, d)))).ravel()
     zero = count + n
     slot = np.full((n + 1, n + 1), zero)
     first, second = np.array(gens.roots).T
     slot[first, second] = np.arange(count)
-    slot[range(1, n + 1), range(1, n + 1)] = count + np.arange(n)
+    np.fill_diagonal(slot[1:, 1:], np.arange(count, zero))
     # pair (p, q) = [C_ij, C_kl]: X = C_il if j = k, Y = C_kj if i = l
     i, j, k, l = first[:, None], second[:, None], first, second
     plus = np.where(j == k, slot[i, l], zero)[..., None] * d
     minus = np.where(i == l, slot[k, j], zero)[..., None] * d
     cartan = (occ[:, :-1] - occ[:, 1:]).T  # row k - 1: the diagonal of h_k
-    shift = np.array([root_components(n, root) for root in gens.roots], dtype=float).T
+    unit = np.eye(n)
+    moved = unit[first - 1] - unit[second - 1]  # C_ij raises n_i and lowers n_j
+    shift = (moved[:, :-1] - moved[:, 1:]).T  # the root components of each ladder
 
     residual = 0.0
     step = max(1, _PAIR_BLOCK // (count * d))

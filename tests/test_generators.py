@@ -232,13 +232,12 @@ def test_the_check_scatters_no_dense_matrix(n, lam):
 
 
 def test_gamma_lambda_scatters_no_dense_matrix(monkeypatch):
-    built = []
+    gamma_su3, built = coherent.gamma_su3, []
 
     def spy(lam):
         built.append(gamma_su3(lam))
         return built[-1]
 
-    gamma_su3 = coherent.gamma_su3
     monkeypatch.setattr(coherent, "gamma_su3", spy)
     result = CliRunner().invoke(main, ["gamma", "--lambda", "4"])
     assert result.exit_code == 0, result.output
