@@ -15,6 +15,7 @@ from .basis import (
 )
 from .generators import (
     GeneratorSet,
+    Monomial,
     build_generators,
     cartan_matrix,
     commutation_residual,
@@ -22,7 +23,6 @@ from .generators import (
     su2_matrices,
 )
 from .phases import (
-    Monomial,
     NoncommutativityReport,
     PolarFactors,
     decay_fit,

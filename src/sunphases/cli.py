@@ -13,11 +13,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 import click
-import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases, report, verify
-from .generators import _check_spin
 from .generators import build_generators, commutation_residual
 
 EXIT_VERIFY_FAILED = 1
@@ -93,11 +91,6 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 #           (lambda = 300 and 500) and n = 3 (30 to 50), 25 at n = 4 (12 and 16),
 #           11 at n = 5 (6 and 8).  210 held: 109 at n = 3 (lambda = 20 and 26),
 #           124 at n = 4 (8 and 11), 167 at n = 5 (5 and 7)
-#   gamma   243 with --lambda 30 and 50, 203 with --j 500 and 1000
-def _per_entry(nbytes: float) -> Callable[[int, int], int]:
-    return lambda n, d: int(nbytes * d * d)
-
-
 def _report_entry(streamed: float, held: float, out: Path | None) -> Callable[[int, int], int]:
     """Bytes per d x d entry of a matrix report: held when --out keeps its matrices inline."""
     return lambda n, d: int(
@@ -341,7 +334,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
         raise click.UsageError("give exactly one of --j or --lambda")
     if spin is not None:
         try:
-            _refuse_unfit(2, _check_spin(spin), _per_entry(203))
+            # refuses 2j > 2053 before anything is built; the rest holds O(d), under 1 MB
             diagonal = coherent._intertwiner_diagonal(spin)
             g = coherent.gamma_su2(spin)
         except ValueError as exc:
@@ -357,16 +350,14 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
             {
                 "hermitize": coherent.hermitize_check(spin),
                 "recursion": coherent.s_recursion_check(spin),
-                "phase_part_vs_shift": float(
-                    np.max(
-                        np.abs(coherent.gamma_phase_part(g) - phases.su2_shift_E(spin))
-                    )
-                ),
+                "phase_part_vs_shift": coherent._phase_part_defect(g),
             },
         )
     else:
         try:
-            _refuse_unfit(3, lam, _per_entry(243))
+            # the peak above an idle CLI (VmHWM, in process) rises 2.84-2.88 KB per state
+            # from lambda = 60 to 200 and reads 2.96 KB per state at 60: a quarter of headroom
+            _refuse_unfit(3, lam, lambda n, d: 3700 * d)
             g3 = coherent.gamma_su3(lam)
         except ValueError as exc:
             raise click.UsageError(str(exc))

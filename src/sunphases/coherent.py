@@ -5,8 +5,9 @@ In the exponential-function basis the ladder coefficients are integers,
 roots of the Hermitian realization.  A diagonal binomial-square-root matrix
 intertwines the two pictures; the phase part of the polar decomposition is
 unchanged by that similarity, which is the point of the whole construction.
-The checks scale rows and columns by the intertwiner's diagonal and the phase
-part divides by the weights of `phases.positive_factor`: no matrix products.
+The su(2) ladders are `Monomial`s: the checks scale their values by the
+intertwiner's diagonal, the phase part divides them by their moduli, and
+every residual compares two of them in O(d), with no d x d array.
 
 Basis ordering matches the rest of the package: m = j, ..., -j for su(2) and
 the lexicographically decreasing occupation order for su(3).
@@ -18,18 +19,18 @@ import math
 
 import numpy as np
 
-from .basis import OrderedBasis, enumerate_basis
+from .basis import enumerate_basis
 from .generators import (
     GeneratorSet,
+    Monomial,
     SU2Matrices,
     _check_spin,
     _generator_set,
     _spin_matrices,
-    _weight_shift,
     commutation_residual,
     su2_matrices,
 )
-from .phases import positive_factor, su2_shift_E
+from .phases import su2_invariant_completion, su2_shift_E
 
 #: Largest 2j whose intertwiner is finite: sqrt(C(2054, 1027)) exceeds the largest float.
 _MAX_TWO_J = 2053
@@ -40,14 +41,9 @@ def _occupation_coefficient(ni: np.ndarray, nj: np.ndarray) -> np.ndarray:
     return nj
 
 
-def _coherent_ladder(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
-    """C_ij with the bare occupation n_j as coefficient."""
-    return _weight_shift(basis, i, j, _occupation_coefficient)
-
-
 def gamma_su2(j: float) -> SU2Matrices:
     """Realization with e_+|jm> -> (j-m)|j,m+1> and e_-|jm> -> (j+m)|j,m-1>."""
-    return _spin_matrices(j, _coherent_ladder)
+    return _spin_matrices(j, _occupation_coefficient)
 
 
 def nonhermiticity_witness(gamma: SU2Matrices) -> float:
@@ -57,7 +53,7 @@ def nonhermiticity_witness(gamma: SU2Matrices) -> float:
     coefficients coincide with the Hermitian square roots); max |2m+1| = 2j-1
     otherwise.
     """
-    return float(np.max(np.abs(gamma.e_plus - gamma.e_minus.conj().T)))
+    return gamma.raising.max_abs_difference(gamma.lowering.adjoint())
 
 
 def intertwiner(j: float) -> np.ndarray:
@@ -87,8 +83,10 @@ def hermitize_check(j: float) -> float:
     gamma, std = gamma_su2(j), su2_matrices(j)
     k = _intertwiner_diagonal(j)
     kinv = 1.0 / k
-    pairs = ((gamma.e_minus, std.e_minus), (gamma.e_plus, std.e_minus.conj().T))
-    return max(float(np.max(np.abs((kinv[:, None] * ladder) * k - want))) for ladder, want in pairs)
+    pairs = ((gamma.lowering, std.lowering), (gamma.raising, std.lowering.adjoint()))
+    return max(
+        Monomial(a.rows, (kinv[a.rows] * a.vals) * k).max_abs_difference(want) for a, want in pairs
+    )
 
 
 def s_recursion_check(j: float) -> float:
@@ -104,21 +102,25 @@ def s_recursion_check(j: float) -> float:
     return float(np.max(np.abs(s_above * (j + m + 1) - s * (j - m)) / s, initial=0.0))
 
 
-def gamma_phase_part(gamma: SU2Matrices) -> np.ndarray:
-    """Phase factor of the coherent-state lowering matrix, completed cyclically.
+def gamma_phase_part(gamma: SU2Matrices) -> Monomial:
+    """Phase factor of the coherent-state lowering ladder, completed cyclically.
 
-    Gamma(e_-) = E . D with D = `positive_factor`(Gamma(e_-)) diagonal; the
-    one undetermined column wraps the lowest weight back to the highest.  The
-    result coincides entrywise with the shift completing the Hermitian
-    realization.
+    Gamma(e_-) = E . D with D diagonal, each entry the modulus of its column's
+    one value; the one undetermined column, whose value is zero, wraps the
+    lowest weight back to the highest.  The result coincides entrywise with
+    the shift completing the Hermitian realization.
     """
-    e_minus = gamma.e_minus
-    weights = np.diag(positive_factor(e_minus)).real
-    mat = e_minus / np.where(weights > 0, weights, 1.0)
-    # cyclic closure: the kernel column (m = -j, index 2j) wraps to m = +j
-    kernel = np.flatnonzero(weights == 0)
-    mat[(kernel + 1) % len(mat), kernel] = 1.0
-    return mat
+    lowering = gamma.lowering
+    weights = np.abs(lowering.vals)
+    # complex division, as on the dense matrix: it rounds v / v as v * (1 / v)
+    vals = lowering.vals.astype(complex) / np.where(weights > 0, weights, 1.0)
+    vals[weights == 0] = 1.0
+    return Monomial(lowering.rows, vals)
+
+
+def _phase_part_defect(gamma: SU2Matrices) -> float:
+    """Max-abs difference between `gamma_phase_part` and the plus completion of C_21."""
+    return gamma_phase_part(gamma).max_abs_difference(su2_invariant_completion(gamma.basis, (2, 1)))
 
 
 def displayed_coefficient(lam: int, root: tuple[int, int], weight: tuple[int, int]) -> float:
@@ -138,7 +140,7 @@ def displayed_coefficient(lam: int, root: tuple[int, int], weight: tuple[int, in
 def gamma_su3(lam: int) -> GeneratorSet:
     """Coherent-state realization of su(3) on the (lam, 0) occupation basis.
 
-    Every ladder C_ij follows the occupation rule of `_coherent_ladder`, so
+    Every ladder C_ij has the bare occupation n_j as coefficient, so
     the long roots C_13 and C_31 are built like the displayed ones and
     [C_12, C_23] = C_13 is left for the commutation check to confirm.
     """

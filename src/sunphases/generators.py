@@ -2,11 +2,11 @@
 
 Matrix elements come from exact integer occupation arithmetic, square-rooted
 once, so the commutation residuals of the boson realization stay at machine
-epsilon.  Every ladder is a weighted partial permutation: its coefficient,
-evaluated on the occupation columns, sits at the su(2)-string image
-(`StringPartition.image`) of each column.  A `GeneratorSet` keeps the ladders
-in that form and `commutation_residual` composes them by gathers; dense
-matrices are scattered only where a payload or a caller reads them.
+epsilon.  Every ladder is a weighted partial permutation, a `Monomial`: its
+coefficient, evaluated on the occupation columns, sits at the su(2)-string
+image (`StringPartition.image`) of each column.  A `GeneratorSet` keeps the
+ladders in that form and `commutation_residual` composes them by gathers;
+`Monomial.dense` scatters a matrix only where a payload or a caller reads it.
 """
 
 from __future__ import annotations
@@ -21,30 +21,69 @@ import numpy as np
 from .basis import OrderedBasis, Root, enumerate_basis, su2_strings
 
 
-def _shift_arrays(
-    basis: OrderedBasis, i: int, j: int, coefficient: Callable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Image and coefficients of the shift moving one boson from mode j to mode i.
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """A d x d weighted partial permutation, held by its columns.
 
-    Column c of the shift holds coefficient(n_i, n_j) at row image[c].  coefficient
-    takes the occupation columns and must vanish where n_j = 0: there the image
-    wraps to the bottom of the string.
+    Column k holds vals[k] at row rows[k]; rows is a permutation of range(d) and
+    vals may be zero, so a ladder is one as well as its unitary completion.  XY
+    has rows rows_x[rows_y] and values vals_x[rows_y] * vals_y, and X^dag the
+    inverse permutation of rows_x as rows and the conjugated values read there.
     """
-    image = su2_strings(basis, (i, j)).image
+
+    rows: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), len(self.rows))
+
+    @classmethod
+    def from_dense(cls, mat: np.ndarray) -> Monomial:
+        """Read a dense matrix; ValueError unless it has one nonzero per row and column."""
+        mat = np.asarray(mat)
+        nonzero = mat != 0
+        # d nonzeros in a d x d matrix, one in every column, on d distinct rows
+        if nonzero.ndim == 2 and nonzero.shape[0] == nonzero.shape[1] == np.count_nonzero(nonzero):
+            rows = np.argmax(nonzero, axis=0)
+            cols = np.arange(len(rows))
+            if nonzero[rows, cols].all() and np.bincount(rows).max() == 1:
+                return cls(rows, mat[rows, cols])
+        raise ValueError("need a monomial matrix, one nonzero per row and column")
+
+    def dense(self) -> np.ndarray:
+        """The complex d x d matrix: the package's one scatter."""
+        mat = np.zeros(self.shape, dtype=complex)
+        mat[self.rows, np.arange(len(self.rows))] = self.vals
+        return mat
+
+    def __matmul__(self, other: Monomial) -> Monomial:
+        return Monomial(self.rows[other.rows], self.vals[other.rows] * other.vals)
+
+    def adjoint(self) -> Monomial:
+        rows = np.empty_like(self.rows)
+        rows[self.rows] = np.arange(len(rows))
+        return Monomial(rows, self.vals[rows].conj())
+
+    def max_abs_difference(self, other: Monomial) -> float:
+        """Largest entry modulus of self - other in O(d), bit for bit the dense one."""
+        if self.shape != other.shape:
+            raise ValueError(f"dimension mismatch: {self.shape} vs {other.shape}")
+        # a shared row holds the difference; elsewhere each value stands against a zero
+        apart = np.maximum(np.abs(self.vals), np.abs(other.vals))
+        defect = np.where(self.rows == other.rows, np.abs(self.vals - other.vals), apart)
+        return float(np.max(defect, initial=0.0))
+
+
+def _shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> Monomial:
+    """The shift moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j).
+
+    coefficient takes the occupation columns and must vanish where n_j = 0:
+    there the su(2)-string image wraps to the bottom of the string.
+    """
     occ = basis.occupations
-    return image, np.asarray(coefficient(occ[:, i - 1], occ[:, j - 1]), dtype=float)
-
-
-def _scatter(image: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Dense complex matrix with coefficients[c] at row image[c] of each column c."""
-    mat = np.zeros((len(image), len(image)), dtype=complex)
-    mat[image, np.arange(len(image))] = coefficients
-    return mat
-
-
-def _weight_shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> np.ndarray:
-    """Matrix moving one boson from mode j to mode i, weighted by coefficient(n_i, n_j)."""
-    return _scatter(*_shift_arrays(basis, i, j, coefficient))
+    vals = np.asarray(coefficient(occ[:, i - 1], occ[:, j - 1]), dtype=float)
+    return Monomial(su2_strings(basis, (i, j)).image, vals)
 
 
 def _boson_coefficient(ni: np.ndarray, nj: np.ndarray) -> np.ndarray:
@@ -60,7 +99,7 @@ def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
     """
     if i == j:
         raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
-    return _weight_shift(basis, i, j, _boson_coefficient)
+    return _shift(basis, i, j, _boson_coefficient).dense()
 
 
 def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:
@@ -97,7 +136,7 @@ class GeneratorSet:
     def ladders(self) -> dict[Root, np.ndarray]:
         """Dense ladder matrices, keyed by root."""
         pairs = zip(self.images, self.coefficients)
-        return {root: _scatter(*pair) for root, pair in zip(self.roots, pairs)}
+        return {root: Monomial(*pair).dense() for root, pair in zip(self.roots, pairs)}
 
     @cached_property
     def cartans(self) -> tuple[np.ndarray, ...]:
@@ -106,11 +145,18 @@ class GeneratorSet:
 
 
 def _generator_set(basis: OrderedBasis, coefficient: Callable) -> GeneratorSet:
-    """Every ladder with i != j, weighted by coefficient(n_i, n_j) as in `_shift_arrays`."""
-    n = basis.n
+    """Every ladder with i != j, weighted by coefficient(n_i, n_j) as in `_shift`."""
+    n, occ = basis.n, basis.occupations
     roots = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
-    images, coefficients = zip(*(_shift_arrays(basis, i, j, coefficient) for i, j in roots))
-    return GeneratorSet(basis, roots, np.stack(images), np.stack(coefficients))
+    images = {}
+    for i, j in roots:
+        if i < j:  # C_ji walks the strings of C_ij the other way: the inverse image
+            image = images[i, j] = su2_strings(basis, (i, j)).image
+            images[j, i] = np.empty_like(image)
+            images[j, i][image] = np.arange(len(image))
+    stacked = np.stack([images[root] for root in roots])
+    coefficients = np.array([coefficient(occ[:, i - 1], occ[:, j - 1]) for i, j in roots], float)
+    return GeneratorSet(basis, roots, stacked, coefficients)
 
 
 def build_generators(basis: OrderedBasis) -> GeneratorSet:
@@ -182,14 +228,29 @@ def commutation_residual(gens: GeneratorSet) -> float:
     return residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SU2Matrices:
-    """Spin-j matrices (Hermitian or coherent-state), basis ordered m = j, ..., -j."""
+    """Spin-j ladders raising = C_12 and lowering = C_21 (Hermitian or coherent-state).
 
-    j: float
-    h: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
+    The basis is the two-mode irrep lambda = 2j, ordered m = j, ..., -j; the
+    dense h = h_1 / 2, e_plus and e_minus are built on first use.
+    """
+
+    basis: OrderedBasis
+    raising: Monomial
+    lowering: Monomial
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return cartan_matrix(self.basis, 1) / 2
+
+    @cached_property
+    def e_plus(self) -> np.ndarray:
+        return self.raising.dense()
+
+    @cached_property
+    def e_minus(self) -> np.ndarray:
+        return self.lowering.dense()
 
 
 def _check_spin(j: float) -> int:
@@ -202,17 +263,12 @@ def _check_spin(j: float) -> int:
     return two_j
 
 
-def _spin_matrices(j: float, ladder: Callable[..., np.ndarray]) -> SU2Matrices:
-    """Spin-j matrices as the two-mode irrep lambda = 2j: e_+ = C_12, e_- = C_21, h = h_1 / 2."""
+def _spin_matrices(j: float, coefficient: Callable) -> SU2Matrices:
+    """Spin-j ladders weighted by coefficient(n_i, n_j) as in `_shift`."""
     basis = enumerate_basis(2, _check_spin(j))
-    return SU2Matrices(
-        j=j,
-        h=cartan_matrix(basis, 1) / 2,
-        e_plus=ladder(basis, 1, 2),
-        e_minus=ladder(basis, 2, 1),
-    )
+    return SU2Matrices(basis, _shift(basis, 1, 2, coefficient), _shift(basis, 2, 1, coefficient))
 
 
 def su2_matrices(j: float) -> SU2Matrices:
     """Spin-j matrices with e_+|jm> = sqrt((j-m)(j+m+1)) |j,m+1>, h|jm> = m|jm>."""
-    return _spin_matrices(j, generator_matrix)
+    return _spin_matrices(j, _boson_coefficient)

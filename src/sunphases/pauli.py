@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import Monomial
+
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
 
@@ -34,10 +36,8 @@ class PauliPair:
 
 def _decorated_shift(entries: list[complex]) -> np.ndarray:
     """Cyclic shift decorated by entries: entry r sits at row r, column r + 1 mod d."""
-    d = len(entries)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[np.arange(d), (np.arange(d) + 1) % d] = entries
-    return mat
+    cols = np.arange(len(entries))
+    return Monomial((cols - 1) % len(cols), np.roll(entries, 1)).dense()
 
 
 def pauli_generators(d: int = 3) -> PauliPair:

@@ -46,7 +46,7 @@ from .basis import (
     kernel_states,
     su2_strings,
 )
-from .generators import _check_spin, cartan_matrix, generator_matrix
+from .generators import Monomial, _check_spin, cartan_matrix, generator_matrix
 from .pauli import complementary_E12, complementary_E23
 
 #: Unitary completion conventions: wrap phase of each cyclic string.
@@ -57,51 +57,6 @@ _COMPLEMENTARY = {(1, 2): complementary_E12, (2, 3): complementary_E23}
 
 _KERNEL_REL_THRESHOLD = 1e-10
 _UNITARITY_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class Monomial:
-    """A d x d matrix with one nonzero per row and column, held by its columns.
-
-    Column k holds vals[k] at row rows[k]; rows is a permutation of range(d).
-    Products and adjoints stay in this form: XY has rows rows_x[rows_y] and
-    values vals_x[rows_y] * vals_y, and X^dag has the inverse permutation of
-    rows_x as rows and the conjugated values read there.
-    """
-
-    rows: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows))
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray) -> Monomial:
-        """Read a dense matrix; ValueError unless it has one nonzero per row and column."""
-        mat = np.asarray(mat)
-        nonzero = mat != 0
-        # d nonzeros in a d x d matrix, one in every column, on d distinct rows
-        if nonzero.ndim == 2 and nonzero.shape[0] == nonzero.shape[1] == np.count_nonzero(nonzero):
-            rows = np.argmax(nonzero, axis=0)
-            cols = np.arange(len(rows))
-            if nonzero[rows, cols].all() and np.bincount(rows).max() == 1:
-                return cls(rows, mat[rows, cols])
-        raise ValueError("need a monomial matrix, one nonzero per row and column")
-
-    def dense(self) -> np.ndarray:
-        """The complex d x d matrix."""
-        mat = np.zeros(self.shape, dtype=complex)
-        mat[self.rows, np.arange(len(self.rows))] = self.vals
-        return mat
-
-    def __matmul__(self, other: Monomial) -> Monomial:
-        return Monomial(self.rows[other.rows], self.vals[other.rows] * other.vals)
-
-    def adjoint(self) -> Monomial:
-        rows = np.empty_like(self.rows)
-        rows[self.rows] = np.arange(len(rows))
-        return Monomial(rows, self.vals[rows].conj())
 
 
 def positive_factor(mat: np.ndarray) -> np.ndarray:

@@ -191,13 +191,7 @@ def suite_gamma() -> list[Check]:
     worst = max(coherent.s_recursion_check(j / 2.0) for j in range(1, 61))
     checks.append(Check("gamma", "binomial recursion, j <= 30", worst, 1e-12))
 
-    worst = 0.0
-    for two_j in range(0, 21):
-        j = two_j / 2.0
-        defect = np.max(
-            np.abs(coherent.gamma_phase_part(coherent.gamma_su2(j)) - phases.su2_shift_E(j))
-        )
-        worst = max(worst, float(defect))
+    worst = max(coherent._phase_part_defect(coherent.gamma_su2(j / 2.0)) for j in range(0, 21))
     checks.append(Check("gamma", "phase part equals cyclic shift, j <= 10", worst, 1e-15))
 
     worst = 0.0

@@ -150,7 +150,7 @@ def test_criterion_05_hermitization_suite():
     worst_rec = max(coherent.s_recursion_check(j / 2.0) for j in range(1, 61))
     shift_exact = all(
         np.array_equal(
-            coherent.gamma_phase_part(coherent.gamma_su2(two_j / 2.0)),
+            coherent.gamma_phase_part(coherent.gamma_su2(two_j / 2.0)).dense(),
             phases.su2_shift_E(two_j / 2.0),
         )
         for two_j in range(0, 21)

@@ -314,8 +314,9 @@ class TestGamma:
 
 class TestMemoryGuard:
     """With 1 MiB of memory, no matrix command fits an irrep of dimension 401 or
-    more, a `sweep` past about 9 700 states (n = 3) does not fit, and neither
-    does a `basis` payload past about 590 states (n = 3)."""
+    more, a `sweep` past about 9 700 states (n = 3) does not fit, nor does
+    `gamma --lambda` past about 280 states, and neither does a `basis` payload
+    past about 590 states (n = 3)."""
 
     @pytest.fixture(autouse=True)
     def one_mebibyte(self, monkeypatch):
@@ -327,10 +328,9 @@ class TestMemoryGuard:
             ["phases", "--n", "3", "--lambda", "40"],
             ["gens", "--n", "3", "--lambda", "40"],
             ["sweep", "--n", "3", "--from", "1", "--to", "200"],
-            ["gamma", "--j", "200"],
+            ["basis", "--n", "6", "--lambda", "10", "--format", "csv"],
             ["gamma", "--lambda", "40"],
             ["basis", "--n", "3", "--lambda", "40"],
-            ["basis", "--n", "6", "--lambda", "10", "--format", "csv"],
         ],
     )
     def test_unfit_irrep_is_usage_error(self, runner, args):
@@ -361,8 +361,6 @@ class TestMatrixCommandCost:
             (["phases", "--n", "3", "--lambda", "10"], ["phases", "--n", "3", "--lambda", "1"]),
             (["gens", "--n", "3", "--lambda", "10"], ["gens", "--n", "3", "--lambda", "1"]),
             (["gens", "--n", "2", "--lambda", "65"], ["gens", "--n", "2", "--lambda", "2"]),
-            (["gamma", "--lambda", "10"], ["gamma", "--lambda", "1"]),
-            (["gamma", "--j", "32.5"], ["gamma", "--j", "1"]),
         ],
     )
     def test_measured_cost_is_refused(self, runner, tmp_path, unfit, fit, out):
@@ -405,6 +403,30 @@ class TestSweepStateCost:
     def test_two_threads_hold_two_lambdas(self, runner, irrep):
         n, lam = irrep
         result = self.sweep(runner, n, lam - 1, lam, 2)
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
+
+
+class TestGammaStateCost:
+    """`gamma --lambda` holds no d x d array: it needs 3700 bytes per state.  Given
+    exactly that much memory for one lambda, it runs that lambda and refuses the
+    next one, with or without --out."""
+
+    @pytest.fixture(params=[10, 60])
+    def lam(self, request, monkeypatch):
+        need = 3700 * math.comb(request.param + 2, 2)
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        return request.param
+
+    @pytest.fixture(params=[False, True])
+    def extra(self, request, tmp_path):
+        return ["--out", str(tmp_path / "run.json")] if request.param else []
+
+    def test_runs_at_the_measured_cost(self, runner, lam, extra):
+        assert runner.invoke(main, ["gamma", "--lambda", str(lam)] + extra).exit_code == 0
+
+    def test_refuses_one_lambda_more(self, runner, lam, extra):
+        result = runner.invoke(main, ["gamma", "--lambda", str(lam + 1)] + extra)
         assert result.exit_code == 2
         assert "physical memory" in result.output
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from sunphases import basis as bs
 from sunphases import coherent, generators
 from sunphases.cli import main
-from sunphases.coherent import _coherent_ladder, _occupation_coefficient
+from sunphases.coherent import _occupation_coefficient
 from sunphases.generators import (
+    Monomial,
     _generator_set,
+    _shift,
     build_generators,
     cartan_matrix,
     commutation_residual,
@@ -21,6 +23,12 @@ from sunphases.generators import (
     number_matrix,
     su2_matrices,
 )
+
+
+def _coherent_ladder(basis, i, j):
+    """C_ij with the bare occupation n_j as coefficient, scattered."""
+    return _shift(basis, i, j, _occupation_coefficient).dense()
+
 
 #: The two ladder builders and the coefficient each scatters: Hermitian and coherent-state.
 BUILDERS = (
@@ -243,6 +251,81 @@ def test_gamma_lambda_scatters_no_dense_matrix(monkeypatch):
     assert result.exit_code == 0, result.output
     [gens] = built
     assert "ladders" not in gens.__dict__ and "cartans" not in gens.__dict__
+
+
+def test_gamma_j_builds_no_dense_matrix(monkeypatch):
+    built = []
+    for name in ("gamma_su2", "su2_matrices"):
+
+        def spy(j, build=getattr(coherent, name)):
+            built.append(build(j))
+            return built[-1]
+
+        monkeypatch.setattr(coherent, name, spy)
+
+    def scatter(self):
+        raise AssertionError("gamma --j scattered a dense matrix")
+
+    monkeypatch.setattr(Monomial, "dense", scatter)
+    result = CliRunner().invoke(main, ["gamma", "--j", "7.5"])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 3  # gamma_su2 for the payload and the check, su2_matrices for the check
+    for spin in built:
+        assert not {"h", "e_plus", "e_minus"} & set(spin.__dict__)
+
+
+@pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 5), (5, 3), (6, 2)])
+def test_each_root_pair_sorts_once_and_keeps_the_images(n, lam, monkeypatch):
+    b = bs.enumerate_basis(n, lam)
+    sorted_roots = []
+
+    def spy(basis, root):
+        sorted_roots.append(root)
+        return bs.su2_strings(basis, root)
+
+    monkeypatch.setattr(generators, "su2_strings", spy)
+    gens = build_generators(b)
+    assert sorted_roots == [(i, j) for i, j in gens.roots if i < j]
+    for root, image in zip(gens.roots, gens.images):
+        assert np.array_equal(image, bs.su2_strings(b, root).image)
+
+
+#: Values with signed zeros, ties and ulp-apart pairs, real or complex.
+PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, 1.0 + 2.0**-52, 3.0, 2.0**-30]
+
+
+@st.composite
+def monomial_pairs(draw):
+    d = draw(st.integers(1, 8))
+    rows = np.array(draw(st.permutations(range(d))))
+    agree = draw(st.sampled_from(["all", "part", "none"]))
+    if agree == "all":
+        other = rows.copy()
+    elif agree == "none":
+        other = np.roll(rows, 1)
+    else:
+        other = np.array(draw(st.permutations(range(d))))
+    values = st.lists(st.sampled_from(PARTS), min_size=d, max_size=d)
+
+    def vals():
+        real = np.array(draw(values))
+        return real + 1j * np.array(draw(values)) if draw(st.booleans()) else real
+
+    return Monomial(rows, vals()), Monomial(other, vals())
+
+
+@settings(deadline=None, max_examples=300)
+@given(monomial_pairs())
+def test_max_abs_difference_is_the_dense_one_bit_for_bit(pair):
+    a, b = pair
+    want = np.max(np.abs(a.dense() - b.dense()))
+    assert same_bits(a.max_abs_difference(b), want)
+    assert same_bits(b.max_abs_difference(a), want)
+
+
+def test_max_abs_difference_needs_equal_shapes():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Monomial(np.arange(2), np.ones(2)).max_abs_difference(Monomial(np.arange(3), np.ones(3)))
 
 
 @pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 3), (5, 2)])
