@@ -328,9 +328,10 @@ class TestMemoryGuard:
             ["phases", "--n", "3", "--lambda", "40"],
             ["gens", "--n", "3", "--lambda", "40"],
             ["sweep", "--n", "3", "--from", "1", "--to", "200"],
-            ["basis", "--n", "6", "--lambda", "10", "--format", "csv"],
+            ["gens", "--n", "2", "--lambda", "400"],
             ["gamma", "--lambda", "40"],
             ["basis", "--n", "3", "--lambda", "40"],
+            ["basis", "--n", "6", "--lambda", "10", "--format", "csv"],
         ],
     )
     def test_unfit_irrep_is_usage_error(self, runner, args):
