@@ -82,11 +82,10 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 # headroom over the largest reading.  phases and gens stream their matrices to
 # stdout or to sidecars; with --out, matrices of at most report.INLINE_DIM_LIMIT
 # rows stay in the envelope, whose text is held whole, so that case has its own figure.
-#   phases  200 streamed: the largest reading, 157.6, is at n = 2 (lambda = 600 and
-#           1000, one cycle, so phi is dense and the cycle logarithm's temporaries
-#           are d x d; 154.9-157.6 in 5 runs inline and 5 with --out); n = 3 (lambda =
-#           30 and 50), n = 4 (14 and 18) and n = 5 (8 and 10) read 78-80.
-#           650 held: 458 at n = 2 (lambda = 250 and 399), 516 at n = 3 (20 and 26)
+#   phases  120 streamed: 92.7-94.9 at n = 2 (lambda = 600 and 1000, one cycle, so phi
+#           is dense), 65.0-65.8 at n = 3 (30 and 50), 62.4-63.2 at n = 4 (14 and 18)
+#           and 64.8-66.1 at n = 5 (8 and 10), in 3 runs inline and 3 with --out.
+#           650 held: 484-486 at n = 2 (lambda = 250 and 399), 370-371 at n = 3 (20 and 26)
 #   gens    per matrix, for all n^2 - 1 of them.  40 streamed: 31-32 at n = 2
 #           (lambda = 300 and 500) and n = 3 (30 to 50), 25 at n = 4 (12 and 16),
 #           11 at n = 5 (6 and 8).  210 held: 109 at n = 3 (lambda = 20 and 26),
@@ -201,7 +200,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _report_entry(200, 650, out))
+        _refuse_unfit(n, lam, _report_entry(120, 650, out))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma

@@ -40,13 +40,13 @@ import numpy as np
 from .basis import (
     OrderedBasis,
     Root,
+    _kernel_mask,
     check_root,
     dimension,
     enumerate_basis,
-    kernel_states,
     su2_strings,
 )
-from .generators import Monomial, _check_spin, cartan_matrix, generator_matrix
+from .generators import Monomial, _check_spin, generator_matrix
 from .pauli import complementary_E12, complementary_E23
 
 #: Unitary completion conventions: wrap phase of each cyclic string.
@@ -57,6 +57,7 @@ _COMPLEMENTARY = {(1, 2): complementary_E12, (2, 3): complementary_E23}
 
 _KERNEL_REL_THRESHOLD = 1e-10
 _UNITARITY_TOL = 1e-10
+_ROW_BLOCK = 64
 
 
 def positive_factor(mat: np.ndarray) -> np.ndarray:
@@ -85,17 +86,16 @@ def su2_invariant_completion(
     """Unitary completion of the phase part of C_ij by cyclic su(2) strings.
 
     On every string (ordered by increasing n_i) the matrix acts as the
-    successor map of C_ij; the wrap entry from the top of the string back to
-    the bottom carries phase +1 ("plus") or -1 ("paper-sign").  Singleton
-    strings get the identity.  Any other convention, "raw" included, raises
-    ValueError.  The result is a signed permutation with real values.
+    successor map of C_ij; the wrap entry from the top (n_j = 0) back to the
+    bottom carries phase +1 ("plus") or -1 ("paper-sign"), and a singleton
+    string (n_i = n_j = 0) gets the identity.  Any other convention, "raw"
+    included, raises ValueError.  The result is a signed permutation with real values.
     """
     if convention not in _WRAP_PHASE:
         raise ValueError(f"{convention!r} is not one of {tuple(_WRAP_PHASE)}")
     strings = su2_strings(basis, root)
-    order, bounds = strings.order, strings.bounds
-    vals = np.ones(len(order))
-    vals[order[bounds[1:] - 1][bounds[1:] - bounds[:-1] > 1]] = _WRAP_PHASE[convention]
+    ni, nj = (basis.occupations[:, k - 1] for k in strings.root)
+    vals = np.where((nj == 0) & (ni > 0), _WRAP_PHASE[convention], 1.0)
     return Monomial(strings.image, vals)
 
 
@@ -123,9 +123,9 @@ def polar_decompose(
 ) -> PolarFactors:
     """Polar-decompose C_ij on the basis with the requested completion.
 
-    The undetermined columns of the partial isometry must coincide with the
-    kernel states of the root; a mismatch signals an internal inconsistency
-    and raises.  The convention is "plus", "paper-sign", "raw" or
+    D's zero diagonal, the undetermined columns of the partial isometry, must be
+    the edge n_j = 0 of the root; a mismatch signals an internal inconsistency
+    and raises RuntimeError.  The convention is "plus", "paper-sign", "raw" or
     "complementary".  Only "complementary" takes an angle (beta for root 1,2,
     gamma for root 2,3, default 0), and only on the fundamental su(3) irrep;
     anything else raises ValueError before C is built.
@@ -145,18 +145,13 @@ def polar_decompose(
         raise ValueError(f"the {convention!r} completion takes no angle")
     cmat = generator_matrix(basis, *root)
     dmat = positive_factor(cmat)
-    kernel = set(kernel_states(basis, root))
-
-    zero_columns = set(np.flatnonzero(~cmat.any(axis=0)).tolist())
-    if zero_columns != kernel:
-        raise RuntimeError(
-            f"partial isometry kernel {sorted(zero_columns)} does not match "
-            f"edge states {sorted(kernel)} for root {root}"
-        )
+    diag = np.diagonal(dmat).real
+    kernel = _kernel_mask(basis, root)
+    if not np.array_equal(diag == 0, kernel):
+        raise RuntimeError(f"D's zero diagonal does not match the edge n_j = 0 of root {root}")
 
     monomial = None
     if convention == "raw":
-        diag = np.real(np.diag(dmat)).copy()
         inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
         emat = cmat * inv[np.newaxis, :]
     elif convention == "complementary":
@@ -169,7 +164,7 @@ def polar_decompose(
         unitary=emat,
         positive=dmat,
         convention=convention,
-        kernel_dimension=len(kernel),
+        kernel_dimension=int(np.count_nonzero(kernel)),
         ladder=cmat,
         monomial=monomial,
     )
@@ -200,16 +195,19 @@ def unitarity_residual(mat: np.ndarray | Monomial) -> float:
 def polar_identity_residual(factors: PolarFactors) -> float:
     """Largest entry modulus of E D - C for a monomial E.
 
-    Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from
-    the nonzeros of factors.monomial with no matrix product, whatever the
-    structure of D.  Factors without a monomial E ("raw") raise ValueError.
+    Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from the
+    nonzeros of factors.monomial, _ROW_BLOCK rows at a time, with no matrix product,
+    whatever the structure of D.  Factors without a monomial E ("raw") raise ValueError.
     """
     e = factors.monomial
     if e is None:
         raise ValueError("polar identity residual needs a monomial E; complete the factor first")
-    defect = e.vals[:, None] * factors.positive
-    defect -= factors.ladder[e.rows]
-    return float(np.max(np.abs(defect)))
+    residual = 0.0
+    for lo in range(0, len(e.rows), _ROW_BLOCK):
+        k = slice(lo, lo + _ROW_BLOCK)
+        defect = e.vals[k, None] * factors.positive[k] - factors.ladder[e.rows[k]]
+        residual = max(residual, float(np.max(np.abs(defect))))
+    return residual
 
 
 def _as_monomial(mat: np.ndarray | Monomial) -> Monomial:
@@ -293,32 +291,35 @@ def _cycle_phase(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         theta = ((np.pi if arg <= -np.pi else arg) + 2 * np.pi * m) / size
         theta[theta > np.pi] -= 2 * np.pi
     waves = np.exp(-1j * np.multiply.outer(np.arange(1 - size, size), theta)) / size
+    # only g and its exp(i theta) twin outlive the table: free it before any L x L block
+    sums = [waves @ x for x in (theta, np.exp(1j * theta))]
+    del waves
     lag = np.subtract.outer(m, m) + size - 1
     twist = np.multiply.outer(prefix, prefix.conj())
-    phi = twist * (waves @ theta)[lag]
-    rebuilt = twist * (waves @ np.exp(1j * theta))[lag]
-    return 0.5 * (phi + phi.conj().T), rebuilt
+    phi, rebuilt = (twist * g[lag] for g in sums)
+    phi += phi.conj().T
+    phi *= 0.5
+    return phi, rebuilt
 
 
 def d_identity_residual(lam: int) -> float:
     """Defect of the relations tying differences of squared D factors to Cartans.
 
     With D_ij = sqrt(C_ij^dag C_ij) the identities read D_21^2 - D_12^2 = h_1,
-    D_32^2 - D_23^2 = h_2 and D_31^2 - D_13^2 = h_1 + h_2.  (D_ij^2 is the
-    occupation polynomial n_j(n_i + 1), so each difference telescopes to a
-    population difference.)
+    D_32^2 - D_23^2 = h_2 and D_31^2 - D_13^2 = h_1 + h_2.  D is diagonal with
+    D_ij^2 = n_j(n_i + 1), so each difference telescopes to the population
+    difference n_i - n_j, and only the diagonals are compared.
     """
     basis = enumerate_basis(3, lam)
-    h1 = cartan_matrix(basis, 1)
-    h2 = cartan_matrix(basis, 2)
+    occ = basis.occupations
 
     def dsq(i: int, j: int) -> np.ndarray:
-        d = positive_factor(generator_matrix(basis, i, j))
-        return d @ d
+        d = np.diagonal(positive_factor(generator_matrix(basis, i, j))).real
+        return d * d
 
     residual = 0.0
-    for (i, j), target in (((1, 2), h1), ((2, 3), h2), ((1, 3), h1 + h2)):
-        defect = dsq(j, i) - dsq(i, j) - target
+    for i, j in ((1, 2), (2, 3), (1, 3)):
+        defect = dsq(j, i) - dsq(i, j) - (occ[:, i - 1] - occ[:, j - 1])
         residual = max(residual, float(np.max(np.abs(defect))))
     return residual
 

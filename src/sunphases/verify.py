@@ -14,7 +14,7 @@ import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases
-from .generators import build_generators, commutation_residual
+from .generators import Monomial, build_generators, commutation_residual
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,11 @@ def suite_gamma() -> list[Check]:
         g = coherent.gamma_su2(j)
         # K is diagonal, so its commutator with A has entries (k_i - k_j) A_ij
         k = coherent._intertwiner_diagonal(j)
-        for other in (g.h, g.e_minus @ g.e_plus, g.e_plus @ g.e_minus):
-            scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other)))))
-            worst = max(
-                worst, float(np.max(np.abs((k[:, None] - k) * other))) / scale
-            )
+        occ = g.basis.occupations
+        h = Monomial(np.arange(two_j + 1), (occ[:, 0] - occ[:, 1]) / 2)
+        for other in (h, g.lowering @ g.raising, g.raising @ g.lowering):
+            scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other.vals)))))
+            worst = max(worst, float(np.max(np.abs((k[other.rows] - k) * other.vals))) / scale)
     checks.append(Check("gamma", "intertwiner commutants, j <= 15", worst, 1e-10))
 
     worst = max(

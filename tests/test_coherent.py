@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sunphases import basis as bs
-from sunphases import coherent, phases
+from sunphases import coherent, phases, verify
 from sunphases.basis import weight_of
 from sunphases.coherent import _occupation_coefficient
 from sunphases.generators import _shift, build_generators, su2_matrices
@@ -54,7 +54,39 @@ def product_phase_part(gamma):
     return mat
 
 
+def dense_commutant_residual(two_j_max=30):
+    """Oracle: verify's intertwiner commutant check on the dense h, e_- e_+ and e_+ e_-."""
+    worst = 0.0
+    for two_j in range(0, two_j_max + 1):
+        j = two_j / 2.0
+        g = coherent.gamma_su2(j)
+        k = coherent._intertwiner_diagonal(j)
+        for other in (g.h, g.e_minus @ g.e_plus, g.e_plus @ g.e_minus):
+            scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other)))))
+            worst = max(worst, float(np.max(np.abs((k[:, None] - k) * other))) / scale)
+    return worst
+
+
 class TestAgainstTheDenseOracles:
+    def test_commutant_check_is_bit_identical(self):
+        [check] = [c for c in verify.suite_gamma() if c.name.startswith("intertwiner commutants")]
+        got, want = np.float64(check.residual), np.float64(dense_commutant_residual())
+        assert got.view(np.uint64) == want.view(np.uint64)
+
+    def test_gamma_suite_builds_no_dense_view(self, monkeypatch):
+        built = []
+        for name in ("gamma_su2", "su2_matrices"):
+
+            def spy(j, build=getattr(coherent, name)):
+                built.append(build(j))
+                return built[-1]
+
+            monkeypatch.setattr(coherent, name, spy)
+        assert all(check.passed for check in verify.suite_gamma())
+        assert len(built) > 31
+        for spin in built:
+            assert not {"h", "e_plus", "e_minus"} & set(spin.__dict__)
+
     def test_hermitize_check_is_bit_identical(self):
         for two_j in range(0, 201):
             got = np.float64(coherent.hermitize_check(two_j / 2.0))

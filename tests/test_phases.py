@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunphases import basis as bs
-from sunphases import pauli, phases
+from sunphases import generators, pauli, phases
 from sunphases.generators import cartan_matrix, generator_matrix
 from sunphases.phases import Monomial
 
@@ -232,6 +232,21 @@ class TestCompletion:
         assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-12
         assert factors.kernel_dimension == len(bs.kernel_states(b, root))
 
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw"])
+    @pytest.mark.parametrize("n,lam,root", [(2, 4, (2, 1)), (3, 3, (1, 2)), (4, 2, (3, 1))])
+    def test_a_zero_of_d_off_the_edge_is_refused(self, monkeypatch, convention, n, lam, root):
+        b = bs.enumerate_basis(n, lam)
+        inside = np.flatnonzero(b.occupations[:, root[1] - 1] > 0)[-1]
+
+        def zero_one_column(mat, original=phases.positive_factor):
+            dmat = original(mat)
+            dmat[:, inside] = 0.0
+            return dmat
+
+        monkeypatch.setattr(phases, "positive_factor", zero_one_column)
+        with pytest.raises(RuntimeError, match="does not match"):
+            phases.polar_decompose(b, root, convention)
+
     @pytest.mark.parametrize("convention", ["raw", "su2-invariant-plus", "nope"])
     def test_completion_takes_only_the_unitary_conventions(self, convention):
         with pytest.raises(ValueError):
@@ -420,6 +435,22 @@ class TestPolarIdentityResidual:
             dense_polar_identity(factors), rel=1e-14
         )
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 63, 64, 65, 1000])
+    def test_every_row_block_is_read(self, monkeypatch, block):
+        # the blocked gather equals the whole one bit for bit, wherever the defect sits
+        monkeypatch.setattr(phases, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        d = 130
+        e = Monomial(rng.permutation(d), np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+        dmat, cmat = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        for row in range(d):
+            planted = cmat.copy()
+            planted[row, rng.integers(d)] += 100.0
+            factors = phases.PolarFactors(e.dense(), dmat, "test", 0, planted, e)
+            want = np.max(np.abs(e.vals[:, None] * dmat - planted[e.rows]))
+            got = phases.polar_identity_residual(factors)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), row
+
     def test_other_unitaries_are_refused(self):
         # a shear has no Monomial, so its factors carry none
         shear = np.array([[1, 1], [0, 1]], dtype=complex)
@@ -547,6 +578,44 @@ class TestPhaseHermitian:
         monkeypatch.setattr(phases, "_cycle_phase", off)
         with pytest.raises(RuntimeError, match="failed to reproduce"):
             phases.phase_hermitian(phases.su2_shift_E(2))
+
+
+def lag_cycle_phase(vals):
+    """Oracle: the cycle blocks from the whole (2L - 1) x L wave table and a lag table."""
+    size = len(vals)
+    prefix = np.concatenate(([1.0 + 0.0j], np.cumprod(vals[:-1])))
+    p = prefix[-1] * vals[-1]
+    m = np.arange(size)
+    if p.imag == 0 and abs(p.real) == 1:
+        q = 2 * m + (p.real < 0)
+        theta = np.pi * (np.where(q > size, q - 2 * size, q) / size)
+    else:
+        arg = np.angle(p)
+        theta = ((np.pi if arg <= -np.pi else arg) + 2 * np.pi * m) / size
+        theta[theta > np.pi] -= 2 * np.pi
+    waves = np.exp(-1j * np.multiply.outer(np.arange(1 - size, size), theta)) / size
+    lag = np.subtract.outer(m, m) + size - 1
+    twist = np.multiply.outer(prefix, prefix.conj())
+    phi = twist * (waves @ theta)[lag]
+    rebuilt = twist * (waves @ np.exp(1j * theta))[lag]
+    return 0.5 * (phi + phi.conj().T), rebuilt
+
+
+class TestCyclePhaseOracle:
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_blocks_are_bit_identical(self, size):
+        # signed cycles with product p = +1 and p = -1, then unit values with a generic p
+        rng = np.random.default_rng(size)
+        signs = rng.choice([-1.0, 1.0], size)
+        cases = []
+        for p in (1.0, -1.0):
+            vals = signs.astype(complex)
+            vals[-1] = p * np.prod(signs[:-1])
+            cases.append(vals)
+        cases.append(np.exp(1j * rng.uniform(-np.pi, np.pi, size)))
+        for vals in cases:
+            for got, want in zip(phases._cycle_phase(vals), lag_cycle_phase(vals)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), vals
 
 
 class TestGroupCommutator:
@@ -808,10 +877,45 @@ class TestMonomial:
             Monomial.from_dense(np.ones(3))
 
 
+def dense_d_identity_residual(lam):
+    """Oracle: the squared D factors as d x d products against the dense Cartans."""
+    basis = bs.enumerate_basis(3, lam)
+    h1, h2 = cartan_matrix(basis, 1), cartan_matrix(basis, 2)
+
+    def dsq(i, j):
+        d = phases.positive_factor(generator_matrix(basis, i, j))
+        return d @ d
+
+    residual = 0.0
+    for (i, j), target in (((1, 2), h1), ((2, 3), h2), ((1, 3), h1 + h2)):
+        defect = dsq(j, i) - dsq(i, j) - target
+        residual = max(residual, float(np.max(np.abs(defect))))
+    return residual
+
+
 class TestDIdentities:
     @pytest.mark.parametrize("lam", range(9))
     def test_squared_differences_give_cartans(self, lam):
         assert phases.d_identity_residual(lam) < 1e-12
+
+    @pytest.mark.parametrize("lam", range(13))
+    def test_diagonals_give_the_dense_value(self, lam):
+        got = np.float64(phases.d_identity_residual(lam))
+        assert got.view(np.uint64) == np.float64(dense_d_identity_residual(lam)).view(np.uint64)
+
+    def test_no_cartan_matrix_or_product_is_built(self, monkeypatch):
+        class NoProduct(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("d_identity_residual formed a d x d product")
+
+        def refuse(*args):
+            raise AssertionError("d_identity_residual built a dense Cartan")
+
+        positive_factor = phases.positive_factor
+        monkeypatch.setattr(phases, "positive_factor", lambda c: positive_factor(c).view(NoProduct))
+        monkeypatch.setattr(generators, "cartan_matrix", refuse)
+        monkeypatch.setattr(phases, "cartan_matrix", refuse, raising=False)
+        assert phases.d_identity_residual(6) < 1e-12
 
 
 class TestSweepAndFit:
