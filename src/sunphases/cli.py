@@ -166,7 +166,7 @@ def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     results |= {f"C_{i}{j}": mat for (i, j), mat in gens.ladders.items()}
     results |= {f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)}
     _emit_report("gens", {"n": n, "lambda": lam}, results, out, residuals)
-    if max(residuals.values()) > 1e-10:
+    if not all(value <= 1e-10 for value in residuals.values()):
         sys.exit(EXIT_RESIDUAL_BREACH)
 
 
@@ -231,7 +231,7 @@ def cmd_phases(
         out,
         residuals,
     )
-    if max(residuals.values()) > 1e-10:
+    if not all(value <= 1e-10 for value in residuals.values()):
         sys.exit(EXIT_RESIDUAL_BREACH)
 
 

@@ -5,9 +5,10 @@ In the exponential-function basis the ladder coefficients are integers,
 roots of the Hermitian realization.  A diagonal binomial-square-root matrix
 intertwines the two pictures; the phase part of the polar decomposition is
 unchanged by that similarity, which is the point of the whole construction.
-The su(2) ladders are `Monomial`s: the checks scale their values by the
-intertwiner's diagonal, the phase part divides them by their moduli, and
-every residual compares two of them in O(d), with no d x d array.
+The su(2) sets are the n = 2 `GeneratorSet`s, read through `ladder` as
+`Monomial`s: the checks scale their values by the intertwiner's diagonal,
+the phase part divides them by their moduli, and every residual compares
+two of them in O(d), with no d x d array.
 
 Basis ordering matches the rest of the package: m = j, ..., -j for su(2) and
 the lexicographically decreasing occupation order for su(3).
@@ -23,10 +24,8 @@ from .basis import enumerate_basis
 from .generators import (
     GeneratorSet,
     Monomial,
-    SU2Matrices,
     _check_spin,
     _generator_set,
-    _spin_matrices,
     commutation_residual,
     su2_matrices,
 )
@@ -41,19 +40,22 @@ def _occupation_coefficient(ni: np.ndarray, nj: np.ndarray) -> np.ndarray:
     return nj
 
 
-def gamma_su2(j: float) -> SU2Matrices:
-    """Realization with e_+|jm> -> (j-m)|j,m+1> and e_-|jm> -> (j+m)|j,m-1>."""
-    return _spin_matrices(j, _occupation_coefficient)
+def gamma_su2(j: float) -> GeneratorSet:
+    """Realization with e_+|jm> -> (j-m)|j,m+1> and e_-|jm> -> (j+m)|j,m-1>.
+
+    e_+ = C_12 and e_- = C_21 on the two-mode irrep lambda = 2j, as `gamma_su3` at n = 3.
+    """
+    return _generator_set(enumerate_basis(2, _check_spin(j)), _occupation_coefficient)
 
 
-def nonhermiticity_witness(gamma: SU2Matrices) -> float:
+def nonhermiticity_witness(gamma: GeneratorSet) -> float:
     """Max-abs difference between the raising matrix and the adjoint of the lowering one.
 
     Zero only in the trivial cases (j = 0 and j = 1/2, where the integer
     coefficients coincide with the Hermitian square roots); max |2m+1| = 2j-1
     otherwise.
     """
-    return gamma.raising.max_abs_difference(gamma.lowering.adjoint())
+    return gamma.ladder(1, 2).max_abs_difference(gamma.ladder(2, 1).adjoint())
 
 
 def intertwiner(j: float) -> np.ndarray:
@@ -83,7 +85,8 @@ def hermitize_check(j: float) -> float:
     gamma, std = gamma_su2(j), su2_matrices(j)
     k = _intertwiner_diagonal(j)
     kinv = 1.0 / k
-    pairs = ((gamma.lowering, std.lowering), (gamma.raising, std.lowering.adjoint()))
+    lowering = std.ladder(2, 1)
+    pairs = ((gamma.ladder(2, 1), lowering), (gamma.ladder(1, 2), lowering.adjoint()))
     return max(
         Monomial(a.rows, (kinv[a.rows] * a.vals) * k).max_abs_difference(want) for a, want in pairs
     )
@@ -102,7 +105,7 @@ def s_recursion_check(j: float) -> float:
     return float(np.max(np.abs(s_above * (j + m + 1) - s * (j - m)) / s, initial=0.0))
 
 
-def gamma_phase_part(gamma: SU2Matrices) -> Monomial:
+def gamma_phase_part(gamma: GeneratorSet) -> Monomial:
     """Phase factor of the coherent-state lowering ladder, completed cyclically.
 
     Gamma(e_-) = E . D with D diagonal, each entry the modulus of its column's
@@ -110,7 +113,7 @@ def gamma_phase_part(gamma: SU2Matrices) -> Monomial:
     lowest weight back to the highest.  The result coincides entrywise with
     the shift completing the Hermitian realization.
     """
-    lowering = gamma.lowering
+    lowering = gamma.ladder(2, 1)
     weights = np.abs(lowering.vals)
     # complex division, as on the dense matrix: it rounds v / v as v * (1 / v)
     vals = lowering.vals.astype(complex) / np.where(weights > 0, weights, 1.0)
@@ -118,7 +121,7 @@ def gamma_phase_part(gamma: SU2Matrices) -> Monomial:
     return Monomial(lowering.rows, vals)
 
 
-def _phase_part_defect(gamma: SU2Matrices) -> float:
+def _phase_part_defect(gamma: GeneratorSet) -> float:
     """Max-abs difference between `gamma_phase_part` and the plus completion of C_21."""
     return gamma_phase_part(gamma).max_abs_difference(su2_invariant_completion(gamma.basis, (2, 1)))
 

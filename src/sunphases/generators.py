@@ -5,8 +5,10 @@ once, so the commutation residuals of the boson realization stay at machine
 epsilon.  Every ladder is a weighted partial permutation, a `Monomial`: its
 coefficient, evaluated on the occupation columns, sits at the su(2)-string
 image (`StringPartition.image`) of each column.  A `GeneratorSet` keeps the
-ladders in that form and `commutation_residual` composes them by gathers;
-`Monomial.dense` scatters a matrix only where a payload or a caller reads it.
+ladders in that form, `GeneratorSet.ladder` reads one out, and
+`commutation_residual` composes them by gathers; `Monomial.dense` scatters a
+matrix only where a payload or a caller reads it.  Spin j is not a separate
+structure: `su2_matrices` is the set of the two-mode irrep lambda = 2j.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ class GeneratorSet:
 
     Row p of the (P, d) arrays `images` and `coefficients` is the ladder roots[p]:
     column c of C holds coefficients[p, c] at row images[p, c], zero on the wrap
-    column of each string.  The dense `ladders` and `cartans` are built on
-    first use.
+    column of each string.  `ladder(i, j)` reads one as a `Monomial`; the dense
+    `ladders` and `cartans` are built on first use.
     """
 
     basis: OrderedBasis
@@ -132,11 +134,17 @@ class GeneratorSet:
     images: np.ndarray
     coefficients: np.ndarray
 
+    def ladder(self, i: int, j: int) -> Monomial:
+        """The ladder C_ij, row p of the arrays; ValueError for a root the set lacks."""
+        if (i, j) not in self.roots:
+            raise ValueError(f"no ladder C_{i}{j} among the roots {self.roots}")
+        p = self.roots.index((i, j))
+        return Monomial(self.images[p], self.coefficients[p])
+
     @cached_property
     def ladders(self) -> dict[Root, np.ndarray]:
         """Dense ladder matrices, keyed by root."""
-        pairs = zip(self.images, self.coefficients)
-        return {root: Monomial(*pair).dense() for root, pair in zip(self.roots, pairs)}
+        return {root: self.ladder(*root).dense() for root in self.roots}
 
     @cached_property
     def cartans(self) -> tuple[np.ndarray, ...]:
@@ -181,7 +189,7 @@ def commutation_residual(gens: GeneratorSet) -> float:
     arithmetic is the dense one entry by entry, (AB - BA) - E with
     E = (0.0 + X) - Y, and each row that a term lands on is summed on its
     own, so the residual equals that of dense products bit for bit, also
-    for a set whose images disagree.
+    for a set whose images disagree; a NaN in any block reads NaN.
     """
     basis = gens.basis
     n, d = basis.n, len(basis)
@@ -220,37 +228,12 @@ def commutation_residual(gens: GeneratorSet) -> float:
         # on[t, s]: term s where it lands on the row of term t, else zero
         on = np.where(row[:, None] == row, val, 0.0)
         defect = (on[:, 0] - on[:, 1]) - ((0.0 + on[:, 2]) - on[:, 3])
-        residual = max(residual, float(np.max(np.abs(defect))))
+        residual = float(np.maximum(residual, np.max(np.abs(defect))))
         # [h_k, C]: all three terms land on the row images[a]
         v = coefficients[a]
         defect = (cartan[:, images[a]] * v - v * cartan[:, None, :]) - shift[:, a, None] * v
-        residual = max(residual, float(np.max(np.abs(defect))))
+        residual = float(np.maximum(residual, np.max(np.abs(defect))))
     return residual
-
-
-@dataclass(frozen=True, eq=False)
-class SU2Matrices:
-    """Spin-j ladders raising = C_12 and lowering = C_21 (Hermitian or coherent-state).
-
-    The basis is the two-mode irrep lambda = 2j, ordered m = j, ..., -j; the
-    dense h = h_1 / 2, e_plus and e_minus are built on first use.
-    """
-
-    basis: OrderedBasis
-    raising: Monomial
-    lowering: Monomial
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        return cartan_matrix(self.basis, 1) / 2
-
-    @cached_property
-    def e_plus(self) -> np.ndarray:
-        return self.raising.dense()
-
-    @cached_property
-    def e_minus(self) -> np.ndarray:
-        return self.lowering.dense()
 
 
 def _check_spin(j: float) -> int:
@@ -263,12 +246,10 @@ def _check_spin(j: float) -> int:
     return two_j
 
 
-def _spin_matrices(j: float, coefficient: Callable) -> SU2Matrices:
-    """Spin-j ladders weighted by coefficient(n_i, n_j) as in `_shift`."""
-    basis = enumerate_basis(2, _check_spin(j))
-    return SU2Matrices(basis, _shift(basis, 1, 2, coefficient), _shift(basis, 2, 1, coefficient))
+def su2_matrices(j: float) -> GeneratorSet:
+    """Spin j as the two-mode irrep lambda = 2j, ordered m = j, ..., -j.
 
-
-def su2_matrices(j: float) -> SU2Matrices:
-    """Spin-j matrices with e_+|jm> = sqrt((j-m)(j+m+1)) |j,m+1>, h|jm> = m|jm>."""
-    return _spin_matrices(j, _boson_coefficient)
+    e_+ = C_12 acts as e_+|jm> = sqrt((j-m)(j+m+1)) |j,m+1>, e_- = C_21 is its
+    adjoint, and h = h_1 / 2 acts as h|jm> = m|jm>.
+    """
+    return build_generators(enumerate_basis(2, _check_spin(j)))

@@ -128,7 +128,7 @@ def polar_decompose(
     and raises RuntimeError.  The convention is "plus", "paper-sign", "raw" or
     "complementary".  Only "complementary" takes an angle (beta for root 1,2,
     gamma for root 2,3, default 0), and only on the fundamental su(3) irrep;
-    anything else raises ValueError before C is built.
+    anything else, a non-finite angle included, raises ValueError before C is built.
     """
     root = check_root(basis.n, root)
     if convention == "complementary":
@@ -140,6 +140,8 @@ def polar_decompose(
             raise ValueError(
                 f"complementary completion covers roots 1,2 and 2,3 only, got {root[0]},{root[1]}"
             )
+        if angle is not None and not math.isfinite(angle):
+            raise ValueError(f"the complementary angle must be finite, got {angle}")
         emat = _COMPLEMENTARY[root](0.0 if angle is None else angle)
     elif angle is not None:
         raise ValueError(f"the {convention!r} completion takes no angle")
@@ -206,7 +208,7 @@ def polar_identity_residual(factors: PolarFactors) -> float:
     for lo in range(0, len(e.rows), _ROW_BLOCK):
         k = slice(lo, lo + _ROW_BLOCK)
         defect = e.vals[k, None] * factors.positive[k] - factors.ladder[e.rows[k]]
-        residual = max(residual, float(np.max(np.abs(defect))))
+        residual = float(np.maximum(residual, np.max(np.abs(defect))))
     return residual
 
 
@@ -233,7 +235,7 @@ def phase_hermitian(unitary: np.ndarray | Monomial) -> np.ndarray:
         e = _as_monomial(unitary)
     except ValueError:
         e = None
-    if e is None or _modulus_defect(e.vals) > _UNITARITY_TOL:
+    if e is None or not _modulus_defect(e.vals) <= _UNITARITY_TOL:
         raise ValueError("input is not a monomial unitary; polar completion required first")
     phi = np.zeros(e.shape, dtype=complex)
     for cycle in _cycles(e.rows):
@@ -242,7 +244,7 @@ def phase_hermitian(unitary: np.ndarray | Monomial) -> np.ndarray:
         # less the unitary on the cycle, whose column t holds vals[t] in row t + 1 (mod L)
         t = np.arange(len(cycle))
         rebuilt[(t + 1) % len(cycle), t] -= vals
-        if np.max(np.abs(rebuilt)) > 1e-10:
+        if not np.max(np.abs(rebuilt)) <= 1e-10:
             raise RuntimeError("matrix logarithm failed to reproduce the unitary")
     return phi
 

@@ -202,7 +202,8 @@ def suite_gamma() -> list[Check]:
         k = coherent._intertwiner_diagonal(j)
         occ = g.basis.occupations
         h = Monomial(np.arange(two_j + 1), (occ[:, 0] - occ[:, 1]) / 2)
-        for other in (h, g.lowering @ g.raising, g.raising @ g.lowering):
+        raising, lowering = g.ladder(1, 2), g.ladder(2, 1)
+        for other in (h, lowering @ raising, raising @ lowering):
             scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other.vals)))))
             worst = max(worst, float(np.max(np.abs((k[other.rows] - k) * other.vals))) / scale)
     checks.append(Check("gamma", "intertwiner commutants, j <= 15", worst, 1e-10))

@@ -81,6 +81,12 @@ class TestGens:
         entry = data["results"]["C_12"][0][1]
         assert entry == [pytest.approx(math.sqrt(2)), 0.0]
 
+    @pytest.mark.parametrize("value", [math.nan, 1.0])
+    def test_a_breached_residual_exits_3(self, runner, monkeypatch, value):
+        monkeypatch.setattr(cli, "commutation_residual", lambda gens: value)
+        result = runner.invoke(main, ["gens", "--n", "2", "--lambda", "2"])
+        assert result.exit_code == cli.EXIT_RESIDUAL_BREACH == 3
+
 
 class TestPhases:
     def test_paper_sign_fundamental(self, runner):
@@ -146,6 +152,24 @@ class TestPhases:
     def test_unused_angle_is_usage_error(self, runner, args):
         result = runner.invoke(main, ["phases", "--n", "3", "--lambda", "1", *args])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag, root", [("--beta", "1,2"), ("--gamma", "2,3")])
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_is_usage_error(self, runner, flag, root, angle):
+        result = runner.invoke(
+            main,
+            ["phases", "--n", "3", "--lambda", "1", "--root", root,
+             "--convention", "complementary", flag, angle],
+        )
+        assert result.exit_code == 2
+        assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("name", ["unitarity_residual", "polar_identity_residual"])
+    @pytest.mark.parametrize("value", [math.nan, 1.0])
+    def test_a_breached_residual_exits_3(self, runner, monkeypatch, name, value):
+        monkeypatch.setattr(phases, name, lambda factors: value)
+        result = runner.invoke(main, ["phases", "--n", "3", "--lambda", "2"])
+        assert result.exit_code == cli.EXIT_RESIDUAL_BREACH == 3
 
     def test_bad_root_string(self, runner):
         result = runner.invoke(

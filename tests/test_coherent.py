@@ -21,11 +21,11 @@ def dense_hermitize_check(j):
     std = su2_matrices(j)
     kmat = coherent.intertwiner(j)
     kinv = np.diag(1.0 / np.diag(kmat))
-    lowered = kinv @ gamma.e_minus @ kmat
-    raised = kinv @ gamma.e_plus @ kmat
+    lowered = kinv @ gamma.ladders[2, 1] @ kmat
+    raised = kinv @ gamma.ladders[1, 2] @ kmat
     return max(
-        float(np.max(np.abs(lowered - std.e_minus))),
-        float(np.max(np.abs(raised - std.e_minus.conj().T))),
+        float(np.max(np.abs(lowered - std.ladders[2, 1]))),
+        float(np.max(np.abs(raised - std.ladders[2, 1].conj().T))),
     )
 
 
@@ -41,7 +41,7 @@ def loop_recursion_check(j):
 
 def product_phase_part(gamma):
     """Oracle: column weights from the diagonal of Gamma(e_-)^dag Gamma(e_-)."""
-    e_minus = gamma.e_minus
+    e_minus = gamma.ladders[2, 1]
     dim = e_minus.shape[0]
     weights = np.sqrt(np.real(np.diag(e_minus.conj().T @ e_minus)))
     mat = np.zeros((dim, dim), dtype=complex)
@@ -60,8 +60,9 @@ def dense_commutant_residual(two_j_max=30):
     for two_j in range(0, two_j_max + 1):
         j = two_j / 2.0
         g = coherent.gamma_su2(j)
+        h, e_plus, e_minus = g.cartans[0] / 2, g.ladders[1, 2], g.ladders[2, 1]
         k = coherent._intertwiner_diagonal(j)
-        for other in (g.h, g.e_minus @ g.e_plus, g.e_plus @ g.e_minus):
+        for other in (h, e_minus @ e_plus, e_plus @ e_minus):
             scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other)))))
             worst = max(worst, float(np.max(np.abs((k[:, None] - k) * other))) / scale)
     return worst
@@ -85,7 +86,7 @@ class TestAgainstTheDenseOracles:
         assert all(check.passed for check in verify.suite_gamma())
         assert len(built) > 31
         for spin in built:
-            assert not {"h", "e_plus", "e_minus"} & set(spin.__dict__)
+            assert not {"ladders", "cartans"} & set(spin.__dict__)
 
     def test_hermitize_check_is_bit_identical(self):
         for two_j in range(0, 201):
@@ -130,24 +131,26 @@ class TestGammaSu2:
         # basis order m = 1, 0, -1
         vec = np.zeros(3)
         vec[1] = 1.0  # |1,0>
-        assert np.array_equal(np.real(g.e_plus @ vec), [1, 0, 0])
+        assert np.array_equal(np.real(g.ladders[1, 2] @ vec), [1, 0, 0])
         top = np.zeros(3)
         top[0] = 1.0
-        assert np.all(g.e_plus @ top == 0)
+        assert np.all(g.ladders[1, 2] @ top == 0)
 
     def test_spin_one_commutator(self):
         g = coherent.gamma_su2(1)
-        comm = g.e_plus @ g.e_minus - g.e_minus @ g.e_plus
+        e_plus, e_minus = g.ladders[1, 2], g.ladders[2, 1]
+        comm = e_plus @ e_minus - e_minus @ e_plus
         assert np.array_equal(np.real(comm), 2 * np.diag([1, 0, -1]))
 
     @pytest.mark.parametrize("two_j", range(0, 31))
     def test_integer_commutation_relations(self, two_j):
         g = coherent.gamma_su2(two_j / 2.0)
+        h, e_plus, e_minus = g.cartans[0] / 2, g.ladders[1, 2], g.ladders[2, 1]
         assert np.array_equal(
-            g.e_plus @ g.e_minus - g.e_minus @ g.e_plus, 2 * g.h
+            e_plus @ e_minus - e_minus @ e_plus, 2 * h
         )
-        assert np.array_equal(g.h @ g.e_plus - g.e_plus @ g.h, g.e_plus)
-        assert np.array_equal(g.h @ g.e_minus - g.e_minus @ g.h, -g.e_minus)
+        assert np.array_equal(h @ e_plus - e_plus @ h, e_plus)
+        assert np.array_equal(h @ e_minus - e_minus @ h, -e_minus)
 
     def test_rejects_bad_spin(self):
         with pytest.raises(ValueError):
@@ -219,7 +222,7 @@ class TestHermitization:
     def test_spin_one_lowering_entry(self):
         g = coherent.gamma_su2(1)
         k = coherent.intertwiner(1)
-        conjugated = np.diag(1 / np.diag(k)) @ g.e_minus @ k
+        conjugated = np.diag(1 / np.diag(k)) @ g.ladders[2, 1] @ k
         # |1,1> (index 0) goes to sqrt(2) |1,0>
         assert conjugated[1, 0] == pytest.approx(math.sqrt(2))
 
@@ -232,8 +235,8 @@ class TestHermitization:
             j = two_j / 2.0
             g = coherent.gamma_su2(j)
             std = su2_matrices(j)
-            a = np.sort(np.linalg.eigvals(g.e_plus @ g.e_minus).real)
-            b = np.sort(np.linalg.eigvals(std.e_plus @ std.e_minus).real)
+            a = np.sort(np.linalg.eigvals(g.ladders[1, 2] @ g.ladders[2, 1]).real)
+            b = np.sort(np.linalg.eigvals(std.ladders[1, 2] @ std.ladders[2, 1]).real)
             assert np.allclose(a, b, atol=1e-9)
 
 

@@ -14,6 +14,7 @@ from sunphases.cli import main
 from sunphases.coherent import _occupation_coefficient
 from sunphases.generators import (
     Monomial,
+    _boson_coefficient,
     _generator_set,
     _shift,
     build_generators,
@@ -232,6 +233,17 @@ def test_a_corrupted_set_fails_exactly_as_dense_products_do(
     assert got > 1e-12
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("p", [0, -1])
+def test_a_nan_coefficient_reads_nan_in_every_block(block, p):
+    gens = build_generators(bs.enumerate_basis(3, 4))
+    coefficients = gens.coefficients.copy()
+    coefficients[p, np.flatnonzero(coefficients[p])[0]] = np.nan
+    broken = dataclasses.replace(gens, coefficients=coefficients)
+    with mock.patch.object(generators, "_PAIR_BLOCK", block):
+        assert math.isnan(commutation_residual(broken))
+
+
 @pytest.mark.parametrize("n,lam", [(2, 5), (3, 4), (4, 3), (5, 2)])
 def test_the_check_scatters_no_dense_matrix(n, lam):
     gens = build_generators(bs.enumerate_basis(n, lam))
@@ -271,7 +283,7 @@ def test_gamma_j_builds_no_dense_matrix(monkeypatch):
     assert result.exit_code == 0, result.output
     assert len(built) == 3  # gamma_su2 for the payload and the check, su2_matrices for the check
     for spin in built:
-        assert not {"h", "e_plus", "e_minus"} & set(spin.__dict__)
+        assert not {"ladders", "cartans"} & set(spin.__dict__)
 
 
 @pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 5), (5, 3), (6, 2)])
@@ -361,20 +373,21 @@ def test_su2_ladder_action():
     # basis order m = 1, 0, -1; e_+ |1,0> = sqrt(2) |1,1>
     vec = np.zeros(3)
     vec[1] = 1.0
-    out = m.e_plus @ vec
+    out = m.ladders[1, 2] @ vec
     assert out[0] == pytest.approx(np.sqrt(2.0))
     # highest weight annihilated
     top = np.zeros(3)
     top[0] = 1.0
-    assert np.all(m.e_plus @ top == 0)
+    assert np.all(m.ladders[1, 2] @ top == 0)
 
 
 @pytest.mark.parametrize("two_j", range(0, 31))
 def test_su2_commutators(two_j):
     m = su2_matrices(two_j / 2.0)
-    comm = m.e_plus @ m.e_minus - m.e_minus @ m.e_plus
-    assert np.max(np.abs(comm - 2 * m.h)) < 1e-13
-    assert np.max(np.abs(m.h @ m.e_plus - m.e_plus @ m.h - m.e_plus)) < 1e-13
+    h, e_plus, e_minus = m.cartans[0] / 2, m.ladders[1, 2], m.ladders[2, 1]
+    comm = e_plus @ e_minus - e_minus @ e_plus
+    assert np.max(np.abs(comm - 2 * h)) < 1e-13
+    assert np.max(np.abs(h @ e_plus - e_plus @ h - e_plus)) < 1e-13
 
 
 def test_su2_rejects_bad_spin():
@@ -397,9 +410,34 @@ def test_schwinger_consistency(lam):
     m = su2_matrices(lam / 2.0)
     # lex-decreasing occupation order has 2m = n1 - n2 descending, matching
     # the m = j..-j ordering of su2_matrices
-    assert np.allclose(generator_matrix(b, 1, 2), m.e_plus, atol=1e-13)
-    assert np.allclose(generator_matrix(b, 2, 1), m.e_minus, atol=1e-13)
+    assert np.allclose(generator_matrix(b, 1, 2), m.ladders[1, 2], atol=1e-13)
+    assert np.allclose(generator_matrix(b, 2, 1), m.ladders[2, 1], atol=1e-13)
     half_diff = 0.5 * (
         np.diag([s[0] for s in b.states]) - np.diag([s[1] for s in b.states])
     )
-    assert np.allclose(m.h, half_diff, atol=1e-13)
+    assert np.allclose(m.cartans[0] / 2, half_diff, atol=1e-13)
+
+
+def spin_shifts(j, coefficient):
+    """Oracle: the su(2) ladders C_12 and C_21 as two `_shift` calls, each sorting its strings."""
+    basis = bs.enumerate_basis(2, round(2 * j))
+    return {(1, 2): _shift(basis, 1, 2, coefficient), (2, 1): _shift(basis, 2, 1, coefficient)}
+
+
+@pytest.mark.parametrize(
+    "build, coefficient",
+    [(su2_matrices, _boson_coefficient), (coherent.gamma_su2, _occupation_coefficient)],
+)
+def test_su2_sets_hold_the_two_shifts_bit_for_bit(build, coefficient):
+    for two_j in range(0, 61):
+        gens = build(two_j / 2.0)
+        for root, want in spin_shifts(two_j / 2.0, coefficient).items():
+            got = gens.ladder(*root)
+            assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64)), two_j
+            assert np.array_equal(got.vals.view(np.uint64), want.vals.view(np.uint64)), two_j
+
+
+@pytest.mark.parametrize("root", [(1, 1), (1, 3), (3, 1), (0, 2)])
+def test_ladder_refuses_a_root_the_set_lacks(root):
+    with pytest.raises(ValueError, match="no ladder"):
+        su2_matrices(1.5).ladder(*root)

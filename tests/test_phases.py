@@ -352,6 +352,16 @@ class TestComplementaryConvention:
         with pytest.raises(ValueError, match=f"got {root[0]},{root[1]}$"):
             phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", 1.0)
 
+    @pytest.mark.parametrize("root", [(1, 2), (2, 3)])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_angle_is_refused_before_c_is_built(self, monkeypatch, root, angle):
+        def refuse(*args):
+            raise AssertionError("C was built")
+
+        monkeypatch.setattr(phases, "generator_matrix", refuse)
+        with pytest.raises(ValueError, match="must be finite"):
+            phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", angle)
+
     @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw"])
     @pytest.mark.parametrize("angle", [0.0, 1.0])
     def test_other_conventions_take_no_angle(self, convention, angle):
@@ -459,6 +469,15 @@ class TestPolarIdentityResidual:
         with pytest.raises(ValueError, match="monomial"):
             phases.polar_identity_residual(phases.PolarFactors(shear, shear, "test", 0, shear))
 
+    @pytest.mark.parametrize("row", [0, 63, 64, 434])
+    def test_a_nan_in_any_row_block_reads_nan(self, row):
+        # d = 435 spans seven row blocks; the NaN must survive the blocks after it
+        factors = phases.polar_decompose(bs.enumerate_basis(3, 28), (1, 2))
+        positive = factors.positive.copy()
+        positive[row, row] = np.nan
+        poisoned = dataclasses.replace(factors, positive=positive)
+        assert math.isnan(phases.polar_identity_residual(poisoned))
+
     def test_raw_factors_are_refused(self):
         factors = phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), "raw")
         with pytest.raises(ValueError, match="monomial"):
@@ -524,6 +543,28 @@ class TestPhaseHermitian:
     def test_rejects_a_monomial_off_the_unit_circle(self):
         with pytest.raises(ValueError, match="polar completion"):
             phases.phase_hermitian(2 * phases.su2_shift_E(1))
+
+    @pytest.mark.parametrize("value", [math.nan, complex(1.0, math.nan), complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("where", [slice(None), slice(-1, None)])
+    def test_rejects_nan_values(self, value, where):
+        e = phases.su2_invariant_completion(bs.enumerate_basis(3, 2), (1, 2))
+        vals = e.vals.astype(complex)
+        vals[where] = value
+        with pytest.raises(ValueError, match="polar completion"):
+            phases.phase_hermitian(Monomial(e.rows, vals))
+        with pytest.raises(ValueError, match="polar completion"):
+            phases.phase_hermitian(Monomial(e.rows, vals).dense())
+
+    def test_a_nan_rebuild_is_refused(self, monkeypatch):
+        cycle_phase = phases._cycle_phase
+
+        def poisoned(vals):
+            block, rebuilt = cycle_phase(vals)
+            return block, np.full_like(rebuilt, np.nan)
+
+        monkeypatch.setattr(phases, "_cycle_phase", poisoned)
+        with pytest.raises(RuntimeError, match="logarithm"):
+            phases.phase_hermitian(phases.su2_shift_E(1))
 
     @settings(deadline=None, max_examples=150)
     @given(monomial_unitaries())
