@@ -87,9 +87,10 @@ def hermitize_check(j: float) -> float:
     kinv = 1.0 / k
     lowering = std.ladder(2, 1)
     pairs = ((gamma.ladder(2, 1), lowering), (gamma.ladder(1, 2), lowering.adjoint()))
-    return max(
+    defects = [
         Monomial(a.rows, (kinv[a.rows] * a.vals) * k).max_abs_difference(want) for a, want in pairs
-    )
+    ]
+    return float(np.max(defects))
 
 
 def s_recursion_check(j: float) -> float:

@@ -57,17 +57,17 @@ def pauli_generators(d: int = 3) -> PauliPair:
 
 def pauli_relation_residual(pair: PauliPair) -> float:
     """Max defect of X^k Z^l = w^{kl} Z^l X^k over all k, l in Z_d."""
-    residual = 0.0
     xp = {0: np.eye(pair.d, dtype=complex)}
     zp = {0: np.eye(pair.d, dtype=complex)}
     for k in range(1, pair.d):
         xp[k] = xp[k - 1] @ pair.x
         zp[k] = zp[k - 1] @ pair.z
-    for k in range(pair.d):
-        for l in range(pair.d):
-            defect = xp[k] @ zp[l] - pair.omega ** (k * l) * zp[l] @ xp[k]
-            residual = max(residual, float(np.max(np.abs(defect))))
-    return residual
+    defects = [
+        np.max(np.abs(xp[k] @ zp[l] - pair.omega ** (k * l) * zp[l] @ xp[k]))
+        for k in range(pair.d)
+        for l in range(pair.d)
+    ]
+    return float(np.max(defects))
 
 
 def complementary_E12(beta: float) -> np.ndarray:

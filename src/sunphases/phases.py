@@ -319,11 +319,11 @@ def d_identity_residual(lam: int) -> float:
         d = np.diagonal(positive_factor(generator_matrix(basis, i, j))).real
         return d * d
 
-    residual = 0.0
-    for i, j in ((1, 2), (2, 3), (1, 3)):
-        defect = dsq(j, i) - dsq(i, j) - (occ[:, i - 1] - occ[:, j - 1])
-        residual = max(residual, float(np.max(np.abs(defect))))
-    return residual
+    defects = [
+        np.max(np.abs(dsq(j, i) - dsq(i, j) - (occ[:, i - 1] - occ[:, j - 1])))
+        for i, j in ((1, 2), (2, 3), (1, 3))
+    ]
+    return float(np.max(defects))
 
 
 def group_commutator(

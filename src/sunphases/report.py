@@ -12,10 +12,12 @@ indentation to the exact text json would give its nested lists.  `dump`
 writes the pieces to a binary stream as they come, so neither a matrix's
 nor the payload's full text is ever held; `dumps` joins the same pieces.
 The renderer spells only the nonzero pairs and the pairs that open a row,
-and each run of zero pairs between them is a slice of one row of zero
-pairs, so its work scales with nonzeros plus rows and its memory with one
-block.  Matrices above the inline threshold are streamed to sidecar files
-referenced from the envelope so reports stay diffable.
+each distinct bit pattern once per matrix, and each run of zero pairs
+between them is a slice of one row of zero pairs, made once per distinct
+length in a block, so its work scales with nonzeros plus rows and its memory
+with one block plus the matrix's distinct values.  Matrices above the inline
+threshold are streamed to sidecar files referenced from the envelope so
+reports stay diffable.
 """
 
 from __future__ import annotations
@@ -62,18 +64,22 @@ def matrix_payload(mat: np.ndarray, pad: str) -> Iterator[bytes]:
 
     A pair is special if it is nonzero (either bit pattern, so -0.0 counts)
     or opens a row.  Only special pairs are spelled: json spells each distinct
-    bit pattern once per block (repr, NaN, Infinity or -Infinity), and their
-    restart depths pick json's separators.  Each run of zero pairs between two
-    of them lies inside one row and is a slice of one row of zero pairs.
+    bit pattern once per matrix (repr, NaN, Infinity or -Infinity), kept for
+    later blocks in a memo keyed by the bits, since a key by value would
+    merge -0.0 with 0.0.  Their restart depths pick json's separators.  Each
+    run of zero pairs between two of them lies inside one row and is a slice
+    of one row of zero pairs, cut once per distinct length in the block.
     _BLOCK pairs are read at a time and each block's text is yielded as it is
     joined, so no piece holds more than one block.
     """
     mat = np.ascontiguousarray(mat, dtype=complex)
     bits = mat.view(np.uint64).reshape(-1, 2)
     before, tail = _separators(mat.ndim + 1, pad)
+    restarts = np.array(before, dtype=object)
     zero = before[1] + b"0.0" + before[0] + b"0.0"  # a zero pair inside a row
     spans = np.cumprod(mat.shape[::-1]).tolist()
     zeros = memoryview(zero * spans[0])
+    spelled: dict[int, bytes] = {}  # json's word for each bit pattern met so far
     last = -1
     for start in range(0, len(bits), _BLOCK):
         block = bits[start : start + _BLOCK]
@@ -83,19 +89,28 @@ def matrix_payload(mat: np.ndarray, pad: str) -> Iterator[bytes]:
         if not len(at):
             continue
         found, leaf = np.unique(block[at].ravel(), return_inverse=True)
-        words = json.dumps(found.view(float).tolist())[1:-1].encode().split(b", ")
+        keys = found.tolist()
+        new = [key for key in keys if key not in spelled]
+        if new:
+            text = json.dumps(np.array(new, dtype=np.uint64).view(float).tolist())
+            spelled.update(zip(new, text[1:-1].encode().split(b", ")))
+        words = np.array([spelled[key] for key in keys], dtype=object)
         at += start
         # zero pairs before each special pair, back to the previous one in any block
         gaps = at - 1
         gaps[1:] -= at[:-1]
         gaps[0] -= last
+        lengths, run = np.unique(gaps, return_inverse=True)
+        runs = np.empty(len(lengths), dtype=object)
+        for k, gap in enumerate(lengths.tolist()):
+            runs[k] = zeros[: len(zero) * gap]
         depth = np.ones_like(at)  # lists that close and reopen before the pair
         for span in spans:
             depth += at % span == 0
         parts = np.empty((len(at), 5), dtype=object)
-        parts[:, 0] = [zeros[: len(zero) * gap] for gap in gaps.tolist()]
-        parts[:, 1] = np.array(before, dtype=object)[depth]
-        parts[:, 2:5:2] = np.array(words, dtype=object)[leaf.reshape(-1, 2)]
+        parts[:, 0] = runs[run]
+        parts[:, 1] = restarts[depth]
+        parts[:, 2:5:2] = words[leaf.reshape(-1, 2)]
         parts[:, 3] = before[0]
         yield b"".join(parts.ravel().tolist())
         last = at[-1]

@@ -8,7 +8,7 @@ build.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,78 +29,76 @@ class Check:
         return self.residual < self.tolerance
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """Largest of the residuals, NaN if any is NaN, which the builtin max would drop."""
+    return float(np.max(list(residuals), initial=0.0))
+
+
 def suite_su2() -> list[Check]:
     checks = []
     # spin j is the two-mode irrep lambda = 2j, with [C_12, C_21] = h_1 = 2h
-    worst = max(
+    worst = _worst(
         commutation_residual(build_generators(bs.enumerate_basis(2, two_j)))
         for two_j in range(0, 31)
     )
     checks.append(Check("su2", "spin commutation relations, j <= 15", worst, 1e-13))
 
-    shift_defect = 0.0
-    spectrum_defect = 0.0
-    unbiased_defect = 0.0
+    shift_defect = []
+    spectrum_defect = []
+    unbiased_defect = []
     for two_j in range(0, 21):  # dimensions 1..21
         j = two_j / 2.0
         e = phases.su2_shift_E(j)
         dim = two_j + 1
         power = np.linalg.matrix_power(e, dim)
-        shift_defect = max(shift_defect, float(np.max(np.abs(power - np.eye(dim)))))
+        shift_defect.append(np.max(np.abs(power - np.eye(dim))))
         eigvals = np.linalg.eigvals(e)
         roots = np.exp(2j * np.pi * np.arange(dim) / dim)
         # each root of unity must be hit by exactly one eigenvalue
-        spectrum_defect = max(
-            spectrum_defect,
-            float(np.max(np.min(np.abs(eigvals[:, None] - roots[None, :]), axis=0))),
+        spectrum_defect.append(
+            np.max(np.min(np.abs(eigvals[:, None] - roots[None, :]), axis=0))
         )
         for _, vec in coherent.dft_eigensystem(e):
-            unbiased_defect = max(
-                unbiased_defect,
-                float(np.max(np.abs(np.abs(vec) ** 2 - 1.0 / dim))),
-            )
-    checks.append(Check("su2", "shift matrix order 2j+1", shift_defect, 1e-10))
+            unbiased_defect.append(np.max(np.abs(np.abs(vec) ** 2 - 1.0 / dim)))
+    checks.append(Check("su2", "shift matrix order 2j+1", _worst(shift_defect), 1e-10))
     checks.append(
-        Check("su2", "shift spectrum = roots of unity", spectrum_defect, 1e-10)
+        Check("su2", "shift spectrum = roots of unity", _worst(spectrum_defect), 1e-10)
     )
     checks.append(
-        Check("su2", "Fourier eigenvectors unbiased", unbiased_defect, 1e-10)
+        Check("su2", "Fourier eigenvectors unbiased", _worst(unbiased_defect), 1e-10)
     )
     return checks
 
 
 def suite_su3() -> list[Check]:
     checks = []
-    worst = max(
+    worst = _worst(
         commutation_residual(build_generators(bs.enumerate_basis(3, lam)))
         for lam in range(0, 7)
     )
     checks.append(Check("su3", "boson commutation relations, lam <= 6", worst, 1e-12))
 
-    worst = max(phases.d_identity_residual(lam) for lam in range(0, 9))
+    worst = _worst(phases.d_identity_residual(lam) for lam in range(0, 9))
     checks.append(Check("su3", "squared-D Cartan identities, lam <= 8", worst, 1e-12))
 
-    worst = 0.0
+    defects = []
     for lam in range(1, 11):
         report = phases.noncommutativity_norm(3, lam)
-        worst = max(
-            worst, abs(report.normalized_norm - float(report.formula_value))
-        )
+        defects.append(abs(report.normalized_norm - float(report.formula_value)))
+    worst = _worst(defects)
     checks.append(
         Check("su3", "normalized commutator norm vs formula, lam <= 10", worst, 1e-9)
     )
 
-    worst = 0.0
+    defects = []
     for lam in range(0, 7):
         basis = bs.enumerate_basis(3, lam)
         for root in [(1, 2), (2, 3), (1, 3), (2, 1), (3, 2), (3, 1)]:
             for convention in ("plus", "paper-sign"):
                 factors = phases.polar_decompose(basis, root, convention)
-                worst = max(
-                    worst,
-                    phases.unitarity_residual(factors.monomial),
-                    phases.polar_identity_residual(factors),
-                )
+                defects.append(phases.unitarity_residual(factors.monomial))
+                defects.append(phases.polar_identity_residual(factors))
+    worst = _worst(defects)
     checks.append(
         Check("su3", "polar identity E D = C, all roots, lam <= 6", worst, 1e-12)
     )
@@ -109,36 +107,35 @@ def suite_su3() -> list[Check]:
 
 def suite_su4() -> list[Check]:
     checks = []
-    worst = max(
+    worst = _worst(
         commutation_residual(build_generators(bs.enumerate_basis(4, lam)))
         for lam in range(0, 5)
     )
     checks.append(Check("su4", "boson commutation relations, lam <= 4", worst, 1e-12))
 
-    worst = 0.0
+    defects = []
     for lam in range(0, 7):
         basis = bs.enumerate_basis(4, lam)
         count_a, count_b, inter, union = bs.edge_overlap_count(
             basis, (1, 2), (3, 1)
         )
         expected_edge = (lam + 1) * (lam + 2) // 2
-        worst = max(
-            worst,
+        defects += [
             abs(count_a - expected_edge),
             abs(count_b - expected_edge),
             abs(inter - (lam + 1)),
             abs(union - (2 * expected_edge - (lam + 1))),
-        )
+        ]
+    worst = _worst(defects)
     checks.append(Check("su4", "edge counting, lam <= 6", worst, 0.5))
 
-    worst = 0.0
+    defects = []
     for lam in range(0, 5):
         report = phases.noncommutativity_norm(4, lam)
-        u_norm_identity = abs(
-            report.raw_norm
-            - 2.0 * (report.dimension - report.fixed_point_count)
+        defects.append(
+            abs(report.raw_norm - 2.0 * (report.dimension - report.fixed_point_count))
         )
-        worst = max(worst, u_norm_identity)
+    worst = _worst(defects)
     checks.append(
         Check("su4", "norm identity ||M||^2 = 2(d - fixed), lam <= 4", worst, 1e-10)
     )
@@ -152,31 +149,28 @@ def suite_pauli() -> list[Check]:
         Check("pauli", "clock-shift exchange relations", pauli.pauli_relation_residual(pair), 1e-12)
     )
     eye = np.eye(3)
-    order_defect = max(
-        float(np.max(np.abs(np.linalg.matrix_power(pair.x, 3) - eye))),
-        float(np.max(np.abs(np.linalg.matrix_power(pair.z, 3) - eye))),
+    order_defect = _worst(
+        np.max(np.abs(np.linalg.matrix_power(m, 3) - eye)) for m in (pair.x, pair.z)
     )
     checks.append(Check("pauli", "X^3 = Z^3 = identity", order_defect, 1e-12))
 
-    worst = 0.0
+    defects = []
     for angle in np.linspace(0.0, 2 * np.pi, 7):
-        worst = max(
-            worst,
+        defects += [
             pauli.complementarity_check(pauli.complementary_E12(angle)),
             phases.unitarity_residual(pauli.complementary_E12(angle)),
             phases.unitarity_residual(pauli.complementary_E23(angle)),
-        )
+        ]
+    worst = _worst(defects)
     checks.append(Check("pauli", "complementary family", worst, 1e-12))
 
-    worst = 0.0
     solutions = pauli.additivity_solve()
+    defects = []
     for sol in solutions:
         e12 = pauli.complementary_E12(sol.beta)
         e23 = pauli.complementary_E23(sol.gamma)
-        worst = max(
-            worst,
-            float(np.max(np.abs(e12 @ e23 - e23 @ e12))),
-        )
+        defects.append(np.max(np.abs(e12 @ e23 - e23 @ e12)))
+    worst = _worst(defects)
     if not any(s.simplest_nontrivial for s in solutions):
         worst = np.inf
     checks.append(Check("pauli", "additive solutions commute", worst, 1e-12))
@@ -185,16 +179,18 @@ def suite_pauli() -> list[Check]:
 
 def suite_gamma() -> list[Check]:
     checks = []
-    worst = max(coherent.hermitize_check(j / 2.0) for j in range(0, 31))
+    worst = _worst(coherent.hermitize_check(j / 2.0) for j in range(0, 31))
     checks.append(Check("gamma", "intertwiner hermitizes, j <= 15", worst, 1e-9))
 
-    worst = max(coherent.s_recursion_check(j / 2.0) for j in range(1, 61))
+    worst = _worst(coherent.s_recursion_check(j / 2.0) for j in range(1, 61))
     checks.append(Check("gamma", "binomial recursion, j <= 30", worst, 1e-12))
 
-    worst = max(coherent._phase_part_defect(coherent.gamma_su2(j / 2.0)) for j in range(0, 21))
+    worst = _worst(
+        coherent._phase_part_defect(coherent.gamma_su2(j / 2.0)) for j in range(0, 21)
+    )
     checks.append(Check("gamma", "phase part equals cyclic shift, j <= 10", worst, 1e-15))
 
-    worst = 0.0
+    defects = []
     for two_j in range(0, 31):
         j = two_j / 2.0
         g = coherent.gamma_su2(j)
@@ -205,10 +201,11 @@ def suite_gamma() -> list[Check]:
         raising, lowering = g.ladder(1, 2), g.ladder(2, 1)
         for other in (h, lowering @ raising, raising @ lowering):
             scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other.vals)))))
-            worst = max(worst, float(np.max(np.abs((k[other.rows] - k) * other.vals))) / scale)
+            defects.append(np.max(np.abs((k[other.rows] - k) * other.vals)) / scale)
+    worst = _worst(defects)
     checks.append(Check("gamma", "intertwiner commutants, j <= 15", worst, 1e-10))
 
-    worst = max(
+    worst = _worst(
         coherent.gamma_su3_commutation_residual(coherent.gamma_su3(lam))
         for lam in range(0, 5)
     )

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from sunphases import basis as bs
-from sunphases import cli, phases
+from sunphases import cli, coherent, phases
 from sunphases.cli import main
 
 
@@ -470,6 +470,29 @@ class TestVerify:
 
     def test_unknown_suite(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "nope"]).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "module, name, at, line",
+        [
+            (
+                coherent, "hermitize_check", 1.0,
+                "FAIL [gamma] intertwiner hermitizes, j <= 15: residual nan (tol 1e-09)",
+            ),
+            (
+                phases, "d_identity_residual", 3,
+                "FAIL [su3] squared-D Cartan identities, lam <= 8: residual nan (tol 1e-12)",
+            ),
+        ],
+        ids=["gamma", "su3"],
+    )
+    def test_a_nan_residual_fails_its_check(self, runner, monkeypatch, module, name, at, line):
+        # one NaN among finite residuals, neither first nor last
+        honest = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x: math.nan if x == at else honest(x))
+        result = runner.invoke(main, ["verify", "--suite", "all"])
+        assert result.exit_code == cli.EXIT_VERIFY_FAILED
+        failed = [row for row in result.output.splitlines() if not row.startswith("PASS ")]
+        assert failed == [line]
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -43,6 +44,14 @@ def test_general_dimension_relations(d):
     assert pauli.pauli_relation_residual(pair) < 1e-12
     eye = np.eye(d)
     assert np.max(np.abs(np.linalg.matrix_power(pair.x, d) - eye)) < 1e-12
+
+
+@pytest.mark.parametrize("entry", ["x", "z"])
+def test_a_nan_entry_gives_a_nan_relation_residual(entry):
+    pair = pauli.pauli_generators(3)
+    mat = getattr(pair, entry).copy()
+    mat[2, 0] = math.nan
+    assert math.isnan(pauli.pauli_relation_residual(dataclasses.replace(pair, **{entry: mat})))
 
 
 def literal_E12(beta):

@@ -177,6 +177,60 @@ def test_a_sparse_matrix_matches_the_stock_encoder_at_any_block(mat, block):
         assert report.dumps({"matrix": mat}) == stock({"matrix": by_hand(mat)})
 
 
+def _special(z):
+    """Whether a pair is spelled wherever it stands: either bit pattern is not all zero."""
+    return bool(np.array([z]).view(np.uint64).any())
+
+
+@st.composite
+def pooled_arrays(draw):
+    """Dense complex arrays over a pool of a few pairs: every pair is special, and the
+    same bit patterns recur in every block, signed zeros and NaN among them."""
+    floats = st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS)
+    pairs = st.builds(complex, floats, floats).filter(_special)
+    pool = draw(st.lists(pairs, min_size=1, max_size=5))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    picks = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, len(pool) - 1)))
+    return np.array(pool, dtype=complex)[picks]
+
+
+@settings(deadline=None, max_examples=300)
+@given(pooled_arrays(), st.sampled_from([1, 2, 3, 5, 8, report._BLOCK]))
+def test_a_matrix_of_recurring_values_matches_the_stock_encoder_at_any_block(mat, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_BLOCK", block)
+        assert report.dumps({"matrix": mat}) == stock({"matrix": by_hand(mat)})
+
+
+def _phi(n, lam):
+    factors = phases.polar_decompose(enumerate_basis(n, lam), (1, 2), "plus")
+    return phases.phase_hermitian(factors.monomial)
+
+
+@pytest.mark.parametrize("n, lam", [(3, 28), (2, 450)])
+def test_each_special_bit_pattern_is_spelled_once_per_matrix(monkeypatch, n, lam):
+    phi = _phi(n, lam)
+    bits = phi.view(np.uint64).reshape(-1, 2)
+    special = bits.any(axis=1)
+    special[:: len(phi)] = True  # the pairs that open a row
+    want = np.unique(bits[special])
+    assert len(phi) ** 2 > report._BLOCK  # several blocks share the patterns
+    spelled = []
+
+    def spy(value, *args, dumps=json.dumps, **kwargs):
+        if all(isinstance(x, float) for x in value):  # not the separators' template
+            spelled.extend(value)
+        return dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(report.json, "dumps", spy)
+    for _ in range(2):  # a second matrix spells its patterns again
+        spelled.clear()
+        text = b"".join(report.matrix_payload(phi, ""))
+        assert np.array_equal(np.sort(np.array(spelled).view(np.uint64)), want)
+    monkeypatch.undo()
+    assert text.decode() == json.dumps(phi.view(float).reshape(*phi.shape, 2).tolist(), indent=2)
+
+
 @settings(deadline=None, max_examples=10)
 @given(sparse_arrays(shapes=st.sampled_from(LONG_SHAPES)))
 def test_a_matrix_longer_than_a_block_matches_the_stock_encoder(mat):
