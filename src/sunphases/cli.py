@@ -13,10 +13,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 import click
+import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases, report, verify
-from .generators import build_generators, commutation_residual
+from .generators import Monomial, build_generators, commutation_residual
 
 EXIT_VERIFY_FAILED = 1
 EXIT_RESIDUAL_BREACH = 3
@@ -82,14 +83,18 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 # headroom over the largest reading.  phases and gens stream their matrices to
 # stdout or to sidecars; with --out, matrices of at most report.INLINE_DIM_LIMIT
 # rows stay in the envelope, whose text is held whole, so that case has its own figure.
-#   phases  120 streamed: 92.7-94.9 at n = 2 (lambda = 600 and 1000, one cycle, so phi
-#           is dense), 65.0-65.8 at n = 3 (30 and 50), 62.4-63.2 at n = 4 (14 and 18)
-#           and 64.8-66.1 at n = 5 (8 and 10), in 3 runs inline and 3 with --out.
-#           650 held: 484-486 at n = 2 (lambda = 250 and 399), 370-371 at n = 3 (20 and 26)
-#   gens    per matrix, for all n^2 - 1 of them.  40 streamed: 31-32 at n = 2
-#           (lambda = 300 and 500) and n = 3 (30 to 50), 25 at n = 4 (12 and 16),
-#           11 at n = 5 (6 and 8).  210 held: 109 at n = 3 (lambda = 20 and 26),
-#           124 at n = 4 (8 and 11), 167 at n = 5 (5 and 7)
+#   phases  120 streamed: 88.0-88.2 at n = 2 (lambda = 600 and 1000, one cycle, so phi
+#           is dense and phase_hermitian's L x L blocks set the figure), 31.5-31.7 at
+#           n = 3 (30 and 50), 31.7 at n = 4 (14 and 18) and 33.0-33.3 at n = 5 (8 and
+#           10), inline and with --out: phi is the one dense payload matrix, E and D
+#           are rendered from their Monomial forms, C is freed before phi is built.
+#           650 held: 500 at n = 2 (lambda = 250 and 399), 314-315 at n = 3 (20 and 26)
+#   gens    per matrix, for all n^2 - 1 of them.  40 streamed: the matrices are rendered
+#           from their Monomial forms a block of rows at a time, and the peak no longer
+#           grows with d^2: -0.5 to 0.1 at n = 2 (lambda = 300 and 500) and n = 3 (30
+#           and 50), 0.2-0.3 at n = 4 (12 and 16), 0.4 at n = 5 (6 and 8).  210 held:
+#           99 at n = 3 (lambda = 20 and 26), 101 at n = 4 (8 and 11), 104 at n = 5 (5
+#           and 7)
 def _report_entry(streamed: float, held: float, out: Path | None) -> Callable[[int, int], int]:
     """Bytes per d x d entry of a matrix report: held when --out keeps its matrices inline."""
     return lambda n, d: int(
@@ -163,8 +168,8 @@ def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     gens = build_generators(basis)
     residuals = {"commutation": commutation_residual(gens)}
     results = {"dimension": len(basis)}
-    results |= {f"C_{i}{j}": mat for (i, j), mat in gens.ladders.items()}
-    results |= {f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)}
+    results |= {f"C_{i}{j}": gens.ladder(i, j) for i, j in gens.roots}
+    results |= {f"h_{k}": gens.cartan(k) for k in range(1, n)}
     _emit_report("gens", {"n": n, "lambda": lam}, results, out, residuals)
     if not all(value <= 1e-10 for value in residuals.values()):
         sys.exit(EXIT_RESIDUAL_BREACH)
@@ -212,6 +217,14 @@ def cmd_phases(
         "unitarity": phases.unitarity_residual(factors.monomial),
         "polar_identity": phases.polar_identity_residual(factors),
     }
+    e, diagonal = factors.monomial, np.diagonal(factors.positive).copy()
+    del factors  # frees C and the dense D before phi is built
+    results = {
+        "dimension": len(basis),
+        "E": e,
+        "D": Monomial(np.arange(len(basis)), diagonal),
+        "phi": phases.phase_hermitian(e),
+    }
     _emit_report(
         "phases",
         {
@@ -222,12 +235,7 @@ def cmd_phases(
             "beta": beta,
             "gamma": gamma,
         },
-        {
-            "dimension": len(basis),
-            "E": factors.unitary,
-            "D": factors.positive,
-            "phi": phases.phase_hermitian(factors.monomial),
-        },
+        results,
         out,
         residuals,
     )

@@ -6,9 +6,12 @@ epsilon.  Every ladder is a weighted partial permutation, a `Monomial`: its
 coefficient, evaluated on the occupation columns, sits at the su(2)-string
 image (`StringPartition.image`) of each column.  A `GeneratorSet` keeps the
 ladders in that form, `GeneratorSet.ladder` reads one out, and
-`commutation_residual` composes them by gathers; `Monomial.dense` scatters a
-matrix only where a payload or a caller reads it.  Spin j is not a separate
-structure: `su2_matrices` is the set of the two-mode irrep lambda = 2j.
+`commutation_residual` composes them by gathers.  `Monomial.dense` scatters a
+matrix, or a range of its rows, only where a caller reads it: the payloads
+render a `Monomial` one block of rows at a time, so the dense
+`GeneratorSet.ladders` and `cartans` are views for the tests alone.  Spin j
+is not a separate structure: `su2_matrices` is the set of the two-mode irrep
+lambda = 2j.
 """
 
 from __future__ import annotations
@@ -53,10 +56,13 @@ class Monomial:
                 return cls(rows, mat[rows, cols])
         raise ValueError("need a monomial matrix, one nonzero per row and column")
 
-    def dense(self) -> np.ndarray:
-        """The complex d x d matrix: the package's one scatter."""
-        mat = np.zeros(self.shape, dtype=complex)
-        mat[self.rows, np.arange(len(self.rows))] = self.vals
+    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop (all by default) of the complex d x d matrix: the one scatter."""
+        d = len(self.rows)
+        stop = d if stop is None else min(stop, d)
+        mat = np.zeros((stop - start, d), dtype=complex)
+        cols = np.flatnonzero((self.rows >= start) & (self.rows < stop))
+        mat[self.rows[cols] - start, cols] = self.vals[cols]
         return mat
 
     def __matmul__(self, other: Monomial) -> Monomial:
@@ -111,12 +117,17 @@ def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:
     return np.diag(basis.occupations[:, i - 1].astype(complex))
 
 
-def cartan_matrix(basis: OrderedBasis, k: int) -> np.ndarray:
-    """Diagonal matrix of h_k = C_kk - C_{k+1,k+1}, with 1 <= k <= n-1."""
+def _cartan(basis: OrderedBasis, k: int) -> Monomial:
+    """h_k = C_kk - C_{k+1,k+1} as a diagonal `Monomial`, with 1 <= k <= n-1."""
     if not 1 <= k <= basis.n - 1:
         raise ValueError(f"Cartan index must lie in 1..{basis.n - 1}, got {k}")
     occ = basis.occupations
-    return np.diag((occ[:, k - 1] - occ[:, k]).astype(complex))
+    return Monomial(np.arange(len(occ)), (occ[:, k - 1] - occ[:, k]).astype(complex))
+
+
+def cartan_matrix(basis: OrderedBasis, k: int) -> np.ndarray:
+    """Diagonal matrix of h_k = C_kk - C_{k+1,k+1}, with 1 <= k <= n-1."""
+    return _cartan(basis, k).dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +137,7 @@ class GeneratorSet:
     Row p of the (P, d) arrays `images` and `coefficients` is the ladder roots[p]:
     column c of C holds coefficients[p, c] at row images[p, c], zero on the wrap
     column of each string.  `ladder(i, j)` reads one as a `Monomial`; the dense
-    `ladders` and `cartans` are built on first use.
+    `ladders` and `cartans` are views for tests, built on first use.
     """
 
     basis: OrderedBasis
@@ -141,6 +152,10 @@ class GeneratorSet:
         p = self.roots.index((i, j))
         return Monomial(self.images[p], self.coefficients[p])
 
+    def cartan(self, k: int) -> Monomial:
+        """The Cartan h_k as a diagonal `Monomial`; ValueError unless 1 <= k <= n-1."""
+        return _cartan(self.basis, k)
+
     @cached_property
     def ladders(self) -> dict[Root, np.ndarray]:
         """Dense ladder matrices, keyed by root."""
@@ -149,7 +164,7 @@ class GeneratorSet:
     @cached_property
     def cartans(self) -> tuple[np.ndarray, ...]:
         """Dense Cartan matrices h_1, ..., h_{n-1}."""
-        return tuple(cartan_matrix(self.basis, k) for k in range(1, self.basis.n))
+        return tuple(self.cartan(k).dense() for k in range(1, self.basis.n))
 
 
 def _generator_set(basis: OrderedBasis, coefficient: Callable) -> GeneratorSet:

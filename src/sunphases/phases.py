@@ -14,9 +14,11 @@ fixed points off it, so a `sweep` costs O(d) per lambda and holds no d x d
 array.  It measures how badly the corresponding phases fail to be additive;
 `noncommutativity_norm` and `sweep` quantify this across irreps and compare
 against the closed-form edge-counting predictions and `exact_raw_norm`.  Dense
-matrices appear only at the boundary: `polar_decompose` and `su2_shift_E`
-scatter E for the payloads (`polar_decompose` keeps the `Monomial` too), and
-`Monomial.from_dense` reads dense input back.
+matrices appear only at the boundary.  `polar_decompose` keeps a completed E
+as its `Monomial`, which the `phases` payload renders block by block, as it
+renders D from its diagonal; `PolarFactors.unitary` and `su2_shift_E` scatter
+E for library callers, and `Monomial.from_dense` reads dense input back.  C
+and phi are still dense d x d arrays.
 
 The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
@@ -99,6 +101,25 @@ def su2_invariant_completion(
     return Monomial(strings.image, vals)
 
 
+class _Scattered:
+    """Data descriptor: the dense matrix stored in the field, else a scatter of `monomial`.
+
+    It gives the field no default, and a frozen dataclass still refuses to set it.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj: PolarFactors | None, owner: type | None = None) -> np.ndarray:
+        if obj is None:
+            raise AttributeError(self.slot)
+        stored = obj.__dict__[self.slot]
+        return obj.monomial.dense() if stored is None else stored
+
+    def __set__(self, obj: PolarFactors, value: np.ndarray | None) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class PolarFactors:
     """Polar factorization C = E D of one ladder matrix.
@@ -106,11 +127,13 @@ class PolarFactors:
     E is unitary (or a partial isometry under the raw convention), D is the
     Hermitian PSD factor, ladder is C itself, and kernel_dimension counts the
     columns of the partial isometry that had to be completed.  monomial is
-    the completed E in the form it was built in, so the residuals and the
-    phase read it without a pass over the dense E; None under "raw".
+    the completed E in the form it was built in, so the residuals, the phase
+    and the payload read it without a dense E; None under "raw".  unitary is
+    the dense E given to the constructor, or, given None, a fresh scatter of
+    monomial on each read.
     """
 
-    unitary: np.ndarray
+    unitary: np.ndarray | None = _Scattered()
     positive: np.ndarray
     convention: str
     kernel_dimension: int
@@ -161,7 +184,7 @@ def polar_decompose(
     else:
         e = su2_invariant_completion(basis, root, convention)
         monomial = Monomial(e.rows, e.vals.astype(complex))
-        emat = monomial.dense()
+        emat = None  # read through the unitary view, which scatters monomial
     return PolarFactors(
         unitary=emat,
         positive=dmat,

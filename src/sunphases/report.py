@@ -1,7 +1,9 @@
 """Machine-readable report envelopes for the CLI.
 
 This module alone knows the payload format: commands hand over plain Python
-values and numpy arrays, and it converts, spills and serializes them.
+values, numpy arrays and `generators.Monomial`s, and it converts, spills and
+serializes them; a `Monomial` is written as its dense matrix, scattered one
+block of rows at a time, so no command holds that matrix whole.
 Payloads are deterministic: keys sorted, complex entries as [re, im] pairs,
 floats serialized by repr (lossless round-trip), no locale formatting.  The
 timestamp is the only field allowed to differ between identical runs.
@@ -14,8 +16,9 @@ nor the payload's full text is ever held; `dumps` joins the same pieces.
 The renderer spells only the nonzero pairs and the pairs that open a row,
 each distinct bit pattern once per matrix, and each run of zero pairs
 between them is a slice of one row of zero pairs, made once per distinct
-length in a block, so its work scales with nonzeros plus rows and its memory
-with one block plus the matrix's distinct values.  Matrices above the inline
+length in a block, so its work scales with nonzeros plus rows (a
+`Monomial`'s scatter adds the zeros of each block) and its memory with one
+block plus the matrix's distinct values.  Matrices above the inline
 threshold are streamed to sidecar files referenced from the envelope so
 reports stay diffable.
 """
@@ -33,6 +36,7 @@ from typing import Any, BinaryIO, Iterator
 import numpy as np
 
 from . import __version__
+from .generators import Monomial
 
 #: Matrices with more rows than this are written to sidecar files.
 INLINE_DIM_LIMIT = 400
@@ -59,7 +63,24 @@ def _separators(ndim: int, pad: str) -> tuple[tuple[bytes, ...], bytes]:
     return tuple(pieces[2**t] for t in range(ndim)) + (pieces[0],), pieces[-1]
 
 
-def matrix_payload(mat: np.ndarray, pad: str) -> Iterator[bytes]:
+def _blocks(
+    mat: np.ndarray | Monomial,
+) -> tuple[tuple[int, ...], Iterator[tuple[int, np.ndarray]]]:
+    """The shape of mat and its complex blocks of at most _BLOCK pairs, each at its flat offset.
+
+    A `Monomial` is scattered by `Monomial.dense` one range of rows at a time,
+    at least one row per block; an array is read in place.
+    """
+    if isinstance(mat, Monomial):
+        d = len(mat.rows)
+        step = max(1, _BLOCK // d)
+        return mat.shape, ((lo * d, mat.dense(lo, lo + step)) for lo in range(0, d, step))
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    flat = mat.reshape(-1)
+    return mat.shape, ((lo, flat[lo : lo + _BLOCK]) for lo in range(0, len(flat), _BLOCK))
+
+
+def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
     """Non-empty complex matrix as nested [re, im] pairs at indentation pad, one block at a time.
 
     A pair is special if it is nonzero (either bit pattern, so -0.0 counts)
@@ -69,26 +90,27 @@ def matrix_payload(mat: np.ndarray, pad: str) -> Iterator[bytes]:
     merge -0.0 with 0.0.  Their restart depths pick json's separators.  Each
     run of zero pairs between two of them lies inside one row and is a slice
     of one row of zero pairs, cut once per distinct length in the block.
-    _BLOCK pairs are read at a time and each block's text is yielded as it is
-    joined, so no piece holds more than one block.
+    Blocks come from `_blocks`, so a `Monomial` gives the bytes of its dense
+    matrix, and each block's text is yielded as it is joined, so no piece
+    holds more than one block.
     """
-    mat = np.ascontiguousarray(mat, dtype=complex)
-    bits = mat.view(np.uint64).reshape(-1, 2)
-    before, tail = _separators(mat.ndim + 1, pad)
+    shape, blocks = _blocks(mat)
+    before, tail = _separators(len(shape) + 1, pad)
     restarts = np.array(before, dtype=object)
     zero = before[1] + b"0.0" + before[0] + b"0.0"  # a zero pair inside a row
-    spans = np.cumprod(mat.shape[::-1]).tolist()
+    spans = np.cumprod(shape[::-1]).tolist()
     zeros = memoryview(zero * spans[0])
     spelled: dict[int, bytes] = {}  # json's word for each bit pattern met so far
     last = -1
-    for start in range(0, len(bits), _BLOCK):
-        block = bits[start : start + _BLOCK]
+    for start, pairs in blocks:
+        block = pairs.view(np.uint64).reshape(-1, 2)
         special = (block[:, 0] | block[:, 1]) != 0
         special[-start % spans[0] :: spans[0]] = True
         at = np.flatnonzero(special)
         if not len(at):
             continue
         found, leaf = np.unique(block[at].ravel(), return_inverse=True)
+        del pairs, block, special  # free a scattered block before its text is joined
         keys = found.tolist()
         new = [key for key in keys if key not in spelled]
         if new:
@@ -114,14 +136,14 @@ def matrix_payload(mat: np.ndarray, pad: str) -> Iterator[bytes]:
         parts[:, 3] = before[0]
         yield b"".join(parts.ravel().tolist())
         last = at[-1]
-    yield b"".join([zeros[: len(zero) * (len(bits) - 1 - last)], tail])
+    yield b"".join([zeros[: len(zero) * (spans[-1] - 1 - last)], tail])
 
 
-def _default(matrices: list[np.ndarray], value: Any) -> Any:
+def _default(matrices: list[np.ndarray | Monomial], value: Any) -> Any:
     """json.dumps hook for the payload types json does not know; matrices go to slots."""
-    if isinstance(value, np.ndarray):
-        if value.size == 0:  # no values, only brackets json writes itself
-            return value.tolist()
+    if isinstance(value, (np.ndarray, Monomial)):
+        if 0 in value.shape:  # no values, only brackets json writes itself
+            return np.zeros(value.shape).tolist()
         matrices.append(value)
         return _SLOT
     if isinstance(value, Fraction):
@@ -156,17 +178,18 @@ def spill_large_matrices(env: dict[str, Any], out: Path | None) -> dict[str, Any
     everything stays inline.
     """
     for name, value in env["results"].items():
-        if out is not None and isinstance(value, np.ndarray) and len(value) > INLINE_DIM_LIMIT:
+        matrix = isinstance(value, (np.ndarray, Monomial))
+        if out is not None and matrix and value.shape[0] > INLINE_DIM_LIMIT:
             side = out.with_name(f"{out.stem}.{name}.json")
             with side.open("wb") as fp:
                 dump({"matrix": value}, fp)
-            env["results"][name] = {"file": side.name, "dimension": len(value)}
+            env["results"][name] = {"file": side.name, "dimension": value.shape[0]}
     return env
 
 
 def _pieces(payload: dict[str, Any]) -> Iterator[bytes]:
     """Sorted-key, indent=2 JSON as ASCII pieces: envelope text, each matrix block by block."""
-    found: list[np.ndarray] = []
+    found: list[np.ndarray | Monomial] = []
     hook = functools.partial(_default, found)
     text = json.dumps(payload, sort_keys=True, indent=2, default=hook)
     # json's indenting encoder keeps the hook in a reference cycle of closures that
@@ -189,6 +212,7 @@ def dump(payload: dict[str, Any], fp: BinaryIO) -> None:
     """Write the JSON of `dumps` to the binary stream fp, one piece at a time."""
     for piece in _pieces(payload):
         fp.write(piece)
+        del piece  # else it outlives the write while the next block is joined
 
 
 def dumps(payload: dict[str, Any]) -> str:

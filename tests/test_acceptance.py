@@ -31,22 +31,25 @@ def scoreline(num, label, ok, detail):
 
 def test_criterion_01_commutation_suite():
     start = time.monotonic()
-    worst = 0.0
-    for n in (2, 3, 4):
-        for lam in range(0, 7):
-            worst = max(
-                worst, commutation_residual(build_generators(bs.enumerate_basis(n, lam)))
-            )
-    worst_su2 = 0.0
+    # np.max keeps a NaN residual wherever it stands; the builtin max drops it
+    # unless it comes first
+    worst = np.max(
+        [
+            commutation_residual(build_generators(bs.enumerate_basis(n, lam)))
+            for n in (2, 3, 4)
+            for lam in range(0, 7)
+        ]
+    )
+    defects = []
     for two_j in range(0, 31):
         m = su2_matrices(two_j / 2.0)
         h, e_plus, e_minus = m.cartans[0] / 2, m.ladders[1, 2], m.ladders[2, 1]
-        worst_su2 = max(
-            worst_su2,
-            float(np.max(np.abs(h @ e_plus - e_plus @ h - e_plus))),
-            float(np.max(np.abs(h @ e_minus - e_minus @ h + e_minus))),
-            float(np.max(np.abs(e_plus @ e_minus - e_minus @ e_plus - 2 * h))),
-        )
+        defects += [
+            np.max(np.abs(h @ e_plus - e_plus @ h - e_plus)),
+            np.max(np.abs(h @ e_minus - e_minus @ h + e_minus)),
+            np.max(np.abs(e_plus @ e_minus - e_minus @ e_plus - 2 * h)),
+        ]
+    worst_su2 = np.max(defects)
     elapsed = time.monotonic() - start
     ok = worst < 1e-12 and worst_su2 < 1e-13 and elapsed < 10.0
     scoreline(
@@ -63,15 +66,16 @@ def test_criterion_01_commutation_suite():
 
 def test_criterion_02_su3_norm_formula():
     start = time.monotonic()
-    worst = 0.0
+    defects = []
     spot = {}
     for lam in range(1, 11):
         rep = phases.noncommutativity_norm(3, lam)
-        worst = max(worst, abs(rep.normalized_norm - float(rep.formula_value)))
+        defects.append(abs(rep.normalized_norm - float(rep.formula_value)))
         # independent oracle: norm counts non-fixed points of the commutator
         oracle = 2.0 * (rep.dimension - rep.fixed_point_count)
-        worst = max(worst, abs(rep.raw_norm - oracle))
+        defects.append(abs(rep.raw_norm - oracle))
         spot[lam] = rep.normalized_norm
+    worst = np.max(defects)
     elapsed = time.monotonic() - start
     ok = (
         worst < 1e-9
@@ -107,9 +111,11 @@ def test_criterion_03_fundamental_explicit_solutions():
     phi_defect = float(np.max(np.abs(phi - phi_target)))
 
     c12, c23, c13 = pauli.omega_solution_matrices()
-    comp_defect = max(
-        float(np.max(np.abs(pauli.complementary_E12(2 * math.pi / 3) - c12))),
-        float(np.max(np.abs(pauli.complementary_E23(-2 * math.pi / 3) - c23))),
+    comp_defect = np.max(
+        [
+            np.max(np.abs(pauli.complementary_E12(2 * math.pi / 3) - c12)),
+            np.max(np.abs(pauli.complementary_E23(-2 * math.pi / 3) - c23)),
+        ]
     )
     product_defect = float(np.max(np.abs(c12 @ c23 - c13)))
 
@@ -131,9 +137,11 @@ def test_criterion_03_fundamental_explicit_solutions():
 def test_criterion_04_pauli_relations():
     pair = pauli.pauli_generators(3)
     residual = pauli.pauli_relation_residual(pair)
-    order_defect = max(
-        float(np.max(np.abs(np.linalg.matrix_power(pair.x, 3) - np.eye(3)))),
-        float(np.max(np.abs(np.linalg.matrix_power(pair.z, 3) - np.eye(3)))),
+    order_defect = np.max(
+        [
+            np.max(np.abs(np.linalg.matrix_power(pair.x, 3) - np.eye(3))),
+            np.max(np.abs(np.linalg.matrix_power(pair.z, 3) - np.eye(3))),
+        ]
     )
     ok = residual < 1e-12 and order_defect < 1e-12
     scoreline(
@@ -147,8 +155,8 @@ def test_criterion_04_pauli_relations():
 
 
 def test_criterion_05_hermitization_suite():
-    worst_herm = max(coherent.hermitize_check(j / 2.0) for j in range(0, 31))
-    worst_rec = max(coherent.s_recursion_check(j / 2.0) for j in range(1, 61))
+    worst_herm = np.max([coherent.hermitize_check(j / 2.0) for j in range(0, 31)])
+    worst_rec = np.max([coherent.s_recursion_check(j / 2.0) for j in range(1, 61)])
     shift_exact = all(
         np.array_equal(
             coherent.gamma_phase_part(coherent.gamma_su2(two_j / 2.0)).dense(),
@@ -156,16 +164,15 @@ def test_criterion_05_hermitization_suite():
         )
         for two_j in range(0, 21)
     )
-    worst_comm = 0.0
+    defects = []
     for two_j in range(0, 31):
         g = coherent.gamma_su2(two_j / 2.0)
         h, e_plus, e_minus = g.cartans[0] / 2, g.ladders[1, 2], g.ladders[2, 1]
         k = coherent.intertwiner(two_j / 2.0)
         for other in (h, e_plus @ e_minus, e_minus @ e_plus):
             scale = max(1.0, float(np.max(np.abs(k)) * max(1.0, np.max(np.abs(other)))))
-            worst_comm = max(
-                worst_comm, float(np.max(np.abs(k @ other - other @ k))) / scale
-            )
+            defects.append(float(np.max(np.abs(k @ other - other @ k))) / scale)
+    worst_comm = np.max(defects)
     ok = worst_herm < 1e-9 and worst_rec < 1e-12 and shift_exact and worst_comm < 1e-10
     scoreline(
         5,
@@ -182,16 +189,16 @@ def test_criterion_05_hermitization_suite():
 
 
 def test_criterion_06_spectrum_and_unbiasedness():
-    worst_spec = 0.0
-    worst_bias = 0.0
+    spec, bias = [], []
     for dim in range(1, 22):
         e = phases.su2_shift_E((dim - 1) / 2.0)
         eigvals, eigvecs = np.linalg.eig(e)
         roots = np.exp(2j * np.pi * np.arange(dim) / dim)
         dist = np.abs(eigvals[:, None] - roots[None, :])
-        worst_spec = max(worst_spec, float(np.max(np.min(dist, axis=1))))
+        spec.append(np.max(np.min(dist, axis=1)))
         overlaps = np.abs(eigvecs) ** 2  # columns normalized by eig
-        worst_bias = max(worst_bias, float(np.max(np.abs(overlaps - 1.0 / dim))))
+        bias.append(np.max(np.abs(overlaps - 1.0 / dim)))
+    worst_spec, worst_bias = np.max(spec), np.max(bias)
     ok = worst_spec < 1e-10 and worst_bias < 1e-10
     scoreline(
         6,
@@ -205,7 +212,7 @@ def test_criterion_06_spectrum_and_unbiasedness():
 
 
 def test_criterion_07_d_operator_identities():
-    worst = max(phases.d_identity_residual(lam) for lam in range(0, 9))
+    worst = np.max([phases.d_identity_residual(lam) for lam in range(0, 9)])
     ok = worst < 1e-12
     scoreline(
         7,
@@ -236,9 +243,8 @@ def test_criterion_08_su4_scaling():
 
 
 def test_criterion_09_su3_coherent_representation():
-    worst = max(
-        coherent.gamma_su3_commutation_residual(coherent.gamma_su3(lam))
-        for lam in range(0, 5)
+    worst = np.max(
+        [coherent.gamma_su3_commutation_residual(coherent.gamma_su3(lam)) for lam in range(0, 5)]
     )
     # root assignment check: each ladder shifts weights by its root
     g = coherent.gamma_su3(2)
@@ -291,3 +297,11 @@ def test_criterion_10_determinism():
     )
     assert verify_same
     assert sweep_same
+
+
+def test_a_nan_residual_fails_criterion_05(monkeypatch):
+    # the builtin max drops a NaN that does not come first; np.max keeps it
+    check = coherent.hermitize_check
+    monkeypatch.setattr(coherent, "hermitize_check", lambda j: math.nan if j == 1 else check(j))
+    with pytest.raises(AssertionError):
+        test_criterion_05_hermitization_suite()

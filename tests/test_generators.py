@@ -335,6 +335,24 @@ def test_max_abs_difference_is_the_dense_one_bit_for_bit(pair):
     assert same_bits(b.max_abs_difference(a), want)
 
 
+@settings(deadline=None, max_examples=100)
+@given(monomial_pairs(), st.data())
+def test_a_range_of_rows_is_that_slice_of_the_dense_matrix_bit_for_bit(pair, data):
+    m = pair[0]
+    d = len(m.rows)
+    start = data.draw(st.integers(0, d))
+    stop = data.draw(st.integers(start, d + 2))  # may run past the last row
+    want = m.dense()[start:stop]
+    assert np.array_equal(m.dense(start, stop).view(np.uint64), want.view(np.uint64))
+
+
+def test_a_cartan_index_outside_the_rank_is_refused():
+    gens = build_generators(bs.enumerate_basis(3, 2))
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="Cartan index"):
+            gens.cartan(k)
+
+
 def test_max_abs_difference_needs_equal_shapes():
     with pytest.raises(ValueError, match="dimension mismatch"):
         Monomial(np.arange(2), np.ones(2)).max_abs_difference(Monomial(np.arange(3), np.ones(3)))

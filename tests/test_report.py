@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -16,7 +17,12 @@ from hypothesis.extra import numpy as hnp
 from sunphases import phases, report
 from sunphases.basis import enumerate_basis
 from sunphases.cli import main
-from sunphases.generators import build_generators, commutation_residual, generator_matrix
+from sunphases.generators import (
+    Monomial,
+    build_generators,
+    commutation_residual,
+    generator_matrix,
+)
 
 LIMIT = 3
 
@@ -51,6 +57,19 @@ def test_matrix_above_the_limit_goes_to_a_sidecar(tmp_path):
 def test_without_out_everything_is_inline():
     mat = matrix(LIMIT + 1)
     assert spill(mat, None) is mat
+
+
+def test_a_monomial_above_the_limit_goes_to_a_sidecar(tmp_path):
+    m = Monomial(np.array([2, 0, 3, 1]), np.array([1.0, -0.0, 2j, -1.0 + 0.5j]))
+    assert spill(m, tmp_path / "run.json") == {"file": "run.E.json", "dimension": LIMIT + 1}
+    assert (tmp_path / "run.E.json").read_bytes() == report.dumps({"matrix": m.dense()}).encode()
+    at_limit = Monomial(np.array([1, 2, 0]), np.ones(3))
+    assert spill(at_limit, tmp_path / "other.json") is at_limit
+
+
+def test_an_empty_monomial_is_an_empty_list():
+    empty = Monomial(np.array([], dtype=int), np.array([]))
+    assert report.dumps({"matrix": empty}) == stock({"matrix": []})
 
 
 def test_dumps_converts_payload_types_like_a_hand_conversion():
@@ -200,6 +219,39 @@ def test_a_matrix_of_recurring_values_matches_the_stock_encoder_at_any_block(mat
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "_BLOCK", block)
         assert report.dumps({"matrix": mat}) == stock({"matrix": by_hand(mat)})
+
+
+@st.composite
+def monomials(draw, sizes=st.integers(1, 12)):
+    """Weighted permutations whose values mix zeros of either sign, NaN, infinities,
+    subnormals and complex values; real or complex, as ladders and completions are."""
+    d = draw(sizes)
+    rows = np.array(draw(st.permutations(range(d))), dtype=np.intp)
+    floats = st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS)
+    values = st.builds(complex, floats, floats) | st.sampled_from(
+        [0j, 1.0, -1.0, 1j, *SIGNED_ZEROS]
+    )
+    vals = np.array(draw(st.lists(values, min_size=d, max_size=d)), dtype=complex)
+    return Monomial(rows, vals.real.copy() if draw(st.booleans()) else vals)
+
+
+@settings(deadline=None, max_examples=300)
+@given(monomials(), st.sampled_from([1, 2, 3, 5, 8, report._BLOCK]), st.sampled_from(["", "    "]))
+def test_a_monomial_renders_the_bytes_of_its_dense_matrix(m, block, pad):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_BLOCK", block)
+        want = b"".join(report.matrix_payload(m.dense(), pad))
+        assert b"".join(report.matrix_payload(m, pad)) == want
+
+
+@pytest.mark.parametrize("d, seed", [(182, 1), (229, 2), (260, 3)])
+def test_a_monomial_longer_than_a_block_renders_the_bytes_of_its_dense_matrix(d, seed):
+    rng = np.random.default_rng(seed)
+    pool = [*SPECIAL_FLOATS, *SIGNED_ZEROS, 1j, -0.5 + 2j, *rng.normal(size=4)]
+    m = Monomial(rng.permutation(d), rng.choice(np.array(pool, dtype=complex), d))
+    assert d**2 > report._BLOCK
+    want = b"".join(report.matrix_payload(m.dense(), "  "))
+    assert b"".join(report.matrix_payload(m, "  ")) == want
 
 
 def _phi(n, lam):
@@ -360,6 +412,35 @@ def test_phases_sidecars_are_the_stock_encoding(tmp_path, convention):
     )
 
 
+@pytest.mark.parametrize("root, flag", [((1, 2), "--beta"), ((2, 3), "--gamma")])
+@pytest.mark.parametrize(
+    "angle", [0.0, -0.0, math.pi, 2 * math.pi / 3, -2 * math.pi / 3, 2 * math.pi]
+)
+def test_complementary_payloads_are_the_encoding_of_the_dense_family(root, flag, angle):
+    args = ["phases", "--n", "3", "--lambda", "1", "--root", f"{root[0]},{root[1]}",
+            "--convention", "complementary", f"{flag}={angle!r}"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0
+    factors = phases.polar_decompose(enumerate_basis(3, 1), root, "complementary", angle)
+    emat = factors.unitary  # the family's own dense matrix, stored as built
+    angles = {"beta": None, "gamma": None, flag[2:]: angle}
+    assert result.output == _expected_envelope(
+        result.output,
+        "phases",
+        {"n": 3, "lambda": 1, "root": list(root), "convention": "complementary"} | angles,
+        {
+            "dimension": 3,
+            "E": emat,
+            "D": factors.positive,
+            "phi": phases.phase_hermitian(emat),
+        },
+        {
+            "unitarity": phases.unitarity_residual(emat),
+            "polar_identity": phases.polar_identity_residual(factors),
+        },
+    )
+
+
 def test_inline_gens_payload_is_the_stock_encoding():
     result = CliRunner().invoke(main, ["gens", "--n", "3", "--lambda", "3"])
     assert result.exit_code == 0
@@ -403,3 +484,56 @@ def test_a_refused_payload_leaves_the_out_file_as_it_was(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["phases", "--n", "3", "--lambda", "2", "--out", str(out)])
     assert isinstance(result.exception, ValueError)
     assert out.read_bytes() == b"an earlier report\n"
+
+
+#: One dense complex d x d matrix at su(3) lambda = 28 (d = 435), in bytes.
+DENSE_435 = 16 * 435**2
+
+
+def _traced_peak(args):
+    """Peak of the memory Python and numpy allocate during one CLI call, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = CliRunner().invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    return peak
+
+
+def test_a_phases_call_holds_fewer_than_three_dense_matrices(tmp_path):
+    # E and D are rendered from their Monomial forms, and C and the dense D are
+    # freed before phi is built, so at most C and D, or phi, are dense at once
+    args = ["phases", "--n", "3", "--lambda", "28", "--out", str(tmp_path / "run.json")]
+    assert _traced_peak(args) < 3 * DENSE_435
+
+
+def test_a_gens_call_holds_less_than_one_dense_matrix(tmp_path):
+    # every ladder and Cartan is rendered from its Monomial form, a block of rows at a time
+    args = ["gens", "--n", "3", "--lambda", "28", "--out", str(tmp_path / "run.json")]
+    assert _traced_peak(args) < DENSE_435
+
+
+@pytest.mark.parametrize(
+    "args, whole",
+    [
+        (["phases", "--n", "3", "--lambda", "28"], 1),  # C, from generator_matrix
+        (["gens", "--n", "3", "--lambda", "28"], 0),
+    ],
+)
+def test_the_matrix_commands_scatter_blocks_of_rows(tmp_path, monkeypatch, args, whole):
+    sizes = []
+    dense = Monomial.dense
+
+    def spy(self, *rows):
+        mat = dense(self, *rows)
+        sizes.append(mat.size)
+        return mat
+
+    monkeypatch.setattr(Monomial, "dense", spy)
+    assert CliRunner().invoke(main, [*args, "--out", str(tmp_path / "run.json")]).exit_code == 0
+    assert sizes.count(435**2) == whole
+    assert max(size for size in sizes if size != 435**2) <= report._BLOCK
