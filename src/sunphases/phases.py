@@ -14,11 +14,10 @@ fixed points off it, so a `sweep` costs O(d) per lambda and holds no d x d
 array.  It measures how badly the corresponding phases fail to be additive;
 `noncommutativity_norm` and `sweep` quantify this across irreps and compare
 against the closed-form edge-counting predictions and `exact_raw_norm`.  Dense
-matrices appear only at the boundary.  `polar_decompose` keeps a completed E
-as its `Monomial`, which the `phases` payload renders block by block, as it
-renders D from its diagonal; `PolarFactors.unitary` and `su2_shift_E` scatter
-E for library callers, and `Monomial.from_dense` reads dense input back.  C
-and phi are still dense d x d arrays.
+matrices appear only at the boundary.  `polar_decompose` holds E, under every
+convention, as one `Monomial`, which the `phases` payload renders block by
+block, as it renders D from its diagonal, and `Monomial.from_dense` reads
+dense input back.  C, D and phi are still dense d x d arrays.
 
 The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
@@ -56,6 +55,9 @@ _WRAP_PHASE = {"plus": 1.0, "paper-sign": -1.0}
 
 #: Complementary completions of the fundamental su(3) irrep, one angle each.
 _COMPLEMENTARY = {(1, 2): complementary_E12, (2, 3): complementary_E23}
+
+#: Every convention polar_decompose takes; "raw" leaves the kernel columns of E at 0.
+_CONVENTIONS = (*_WRAP_PHASE, "raw", "complementary")
 
 _KERNEL_REL_THRESHOLD = 1e-10
 _UNITARITY_TOL = 1e-10
@@ -101,44 +103,29 @@ def su2_invariant_completion(
     return Monomial(strings.image, vals)
 
 
-class _Scattered:
-    """Data descriptor: the dense matrix stored in the field, else a scatter of `monomial`.
-
-    It gives the field no default, and a frozen dataclass still refuses to set it.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, obj: PolarFactors | None, owner: type | None = None) -> np.ndarray:
-        if obj is None:
-            raise AttributeError(self.slot)
-        stored = obj.__dict__[self.slot]
-        return obj.monomial.dense() if stored is None else stored
-
-    def __set__(self, obj: PolarFactors, value: np.ndarray | None) -> None:
-        obj.__dict__[self.slot] = value
-
-
 @dataclass(frozen=True)
 class PolarFactors:
     """Polar factorization C = E D of one ladder matrix.
 
-    E is unitary (or a partial isometry under the raw convention), D is the
-    Hermitian PSD factor, ladder is C itself, and kernel_dimension counts the
-    columns of the partial isometry that had to be completed.  monomial is
-    the completed E in the form it was built in, so the residuals, the phase
-    and the payload read it without a dense E; None under "raw".  unitary is
-    the dense E given to the constructor, or, given None, a fresh scatter of
-    monomial on each read.
+    monomial is E: the completed unitary, or under "raw" the partial isometry,
+    which is the plus completion with its kernel columns set to 0.  positive is
+    the Hermitian PSD factor D and ladder is C itself.  unitary scatters E on
+    each read, and kernel_dimension counts the zeros on D's diagonal: the
+    columns of the partial isometry that a completion fills.
     """
 
-    unitary: np.ndarray | None = _Scattered()
+    monomial: Monomial
     positive: np.ndarray
     convention: str
-    kernel_dimension: int
     ladder: np.ndarray
-    monomial: Monomial | None = None
+
+    @property
+    def unitary(self) -> np.ndarray:
+        return self.monomial.dense()
+
+    @property
+    def kernel_dimension(self) -> int:
+        return int(np.count_nonzero(np.diagonal(self.positive) == 0))
 
 
 def polar_decompose(
@@ -151,9 +138,12 @@ def polar_decompose(
     and raises RuntimeError.  The convention is "plus", "paper-sign", "raw" or
     "complementary".  Only "complementary" takes an angle (beta for root 1,2,
     gamma for root 2,3, default 0), and only on the fundamental su(3) irrep;
-    anything else, a non-finite angle included, raises ValueError before C is built.
+    anything else, an unknown convention or a non-finite angle included, raises
+    ValueError before C is built.
     """
     root = check_root(basis.n, root)
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"{convention!r} is not one of {_CONVENTIONS}")
     if convention == "complementary":
         if (basis.n, basis.lam) != (3, 1):
             raise ValueError(
@@ -165,34 +155,19 @@ def polar_decompose(
             )
         if angle is not None and not math.isfinite(angle):
             raise ValueError(f"the complementary angle must be finite, got {angle}")
-        emat = _COMPLEMENTARY[root](0.0 if angle is None else angle)
+        e = Monomial.from_dense(_COMPLEMENTARY[root](0.0 if angle is None else angle))
     elif angle is not None:
         raise ValueError(f"the {convention!r} completion takes no angle")
     cmat = generator_matrix(basis, *root)
     dmat = positive_factor(cmat)
-    diag = np.diagonal(dmat).real
     kernel = _kernel_mask(basis, root)
-    if not np.array_equal(diag == 0, kernel):
+    if not np.array_equal(np.diagonal(dmat) == 0, kernel):
         raise RuntimeError(f"D's zero diagonal does not match the edge n_j = 0 of root {root}")
-
-    monomial = None
-    if convention == "raw":
-        inv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
-        emat = cmat * inv[np.newaxis, :]
-    elif convention == "complementary":
-        monomial = Monomial.from_dense(emat)
-    else:
-        e = su2_invariant_completion(basis, root, convention)
-        monomial = Monomial(e.rows, e.vals.astype(complex))
-        emat = None  # read through the unitary view, which scatters monomial
-    return PolarFactors(
-        unitary=emat,
-        positive=dmat,
-        convention=convention,
-        kernel_dimension=int(np.count_nonzero(kernel)),
-        ladder=cmat,
-        monomial=monomial,
-    )
+    if convention != "complementary":
+        e = su2_invariant_completion(basis, root, "plus" if convention == "raw" else convention)
+        vals = np.where(kernel, 0.0, e.vals) if convention == "raw" else e.vals
+        e = Monomial(e.rows, vals.astype(complex))
+    return PolarFactors(monomial=e, positive=dmat, convention=convention, ladder=cmat)
 
 
 def su2_shift_E(j: float) -> np.ndarray:
@@ -218,15 +193,14 @@ def unitarity_residual(mat: np.ndarray | Monomial) -> float:
 
 
 def polar_identity_residual(factors: PolarFactors) -> float:
-    """Largest entry modulus of E D - C for a monomial E.
+    """Largest entry modulus of E D - C, with E the Monomial factors.monomial.
 
-    Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from the
-    nonzeros of factors.monomial, _ROW_BLOCK rows at a time, with no matrix product,
-    whatever the structure of D.  Factors without a monomial E ("raw") raise ValueError.
+    Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from E's
+    index and value arrays, _ROW_BLOCK rows at a time, with no matrix product,
+    whatever the structure of D.  A value of 0, as in every kernel column of a
+    raw partial isometry, gathers a zero row.
     """
     e = factors.monomial
-    if e is None:
-        raise ValueError("polar identity residual needs a monomial E; complete the factor first")
     residual = 0.0
     for lo in range(0, len(e.rows), _ROW_BLOCK):
         k = slice(lo, lo + _ROW_BLOCK)

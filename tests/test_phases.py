@@ -259,6 +259,15 @@ class TestCompletion:
         with pytest.raises(ValueError):
             phases.polar_decompose(b, (1, 2), "raw-partial")
 
+    @pytest.mark.parametrize("convention", ["nope", "raw-partial", "su2-invariant-plus"])
+    def test_an_unknown_convention_is_refused_before_c_is_built(self, monkeypatch, convention):
+        def refuse(*args):
+            raise AssertionError("C was built")
+
+        monkeypatch.setattr(phases, "generator_matrix", refuse)
+        with pytest.raises(ValueError, match="is not one of"):
+            phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), convention)
+
     def test_conventions_differ_by_diagonal_signs(self):
         b = bs.enumerate_basis(3, 4)
         plus = phases.su2_invariant_completion(b, (1, 2), "plus").dense()
@@ -293,30 +302,55 @@ def bits(mat):
 
 
 class TestKeptMonomial:
-    """polar_decompose keeps the completed E as the Monomial it built; what is read
+    """polar_decompose holds E as one Monomial under every convention; what is read
     from it equals what is read from the dense E, bit for bit."""
 
-    @pytest.mark.parametrize("convention", ["plus", "paper-sign"])
-    @pytest.mark.parametrize("n, lam", [(2, 5), (3, 0), (3, 4), (4, 3)])
+    @pytest.mark.parametrize(
+        "n, lam, convention",
+        [
+            (n, lam, convention)
+            for convention in ("plus", "paper-sign", "raw")
+            for n, lam in ((2, 5), (3, 0), (3, 4), (4, 3))
+        ]
+        + [(3, 1, "complementary")],
+    )
     def test_reads_equal_the_dense_reads(self, n, lam, convention):
         b = bs.enumerate_basis(n, lam)
-        for root in ladder_roots(n):
-            factors = phases.polar_decompose(b, root, convention)
-            e = factors.monomial
-            assert np.array_equal(bits(e.dense()), bits(factors.unitary))
-            assert phases.unitarity_residual(e) == phases.unitarity_residual(factors.unitary)
-            dense = dataclasses.replace(factors, monomial=Monomial.from_dense(factors.unitary))
-            assert phases.polar_identity_residual(factors) == phases.polar_identity_residual(dense)
+        if convention == "complementary":
+            cases = [(root, a) for root in [(1, 2), (2, 3)] for a in (None, -0.0, 0.7, math.pi)]
+        else:
+            cases = [(root, None) for root in ladder_roots(n)]
+        for root, angle in cases:
+            factors = phases.polar_decompose(b, root, convention, angle)
+            e, dense = factors.monomial, factors.unitary
+            assert factors.kernel_dimension == len(bs.kernel_states(b, root))
+            assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
+            if convention == "raw":
+                # a partial isometry: Monomial.from_dense and the logarithm refuse its dense E
+                assert phases.unitarity_residual(e) == dense_unitarity_residual(dense)
+                with pytest.raises(ValueError, match="polar completion"):
+                    phases.phase_hermitian(e)
+                continue
+            assert phases.unitarity_residual(e) == phases.unitarity_residual(dense)
             phi = phases.phase_hermitian(e)
-            assert np.array_equal(bits(phi), bits(phases.phase_hermitian(factors.unitary)))
+            assert np.array_equal(bits(phi), bits(phases.phase_hermitian(dense)))
 
     @pytest.mark.parametrize("root", [(1, 2), (2, 3)])
     def test_complementary_keeps_its_monomial(self, root):
         factors = phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", 0.7)
         assert np.array_equal(bits(factors.monomial.dense()), bits(factors.unitary))
 
-    def test_raw_keeps_none(self):
-        assert phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), "raw").monomial is None
+    @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
+    def test_raw_is_the_plus_completion_less_its_kernel_columns(self, n, lam):
+        b = bs.enumerate_basis(n, lam)
+        for root in ladder_roots(n):
+            raw = phases.polar_decompose(b, root, "raw").monomial
+            plus = phases.polar_decompose(b, root, "plus").monomial
+            kernel = np.zeros(len(b), dtype=bool)
+            kernel[bs.kernel_states(b, root)] = True
+            assert np.array_equal(raw.rows, plus.rows)
+            assert np.array_equal(bits(raw.vals), bits(np.where(kernel, 0.0, 1.0).astype(complex)))
+            assert kernel.any() and phases.unitarity_residual(raw) == 1.0
 
     def test_a_monomial_off_the_unit_circle_is_refused(self):
         e = phases.su2_invariant_completion(bs.enumerate_basis(3, 2), (1, 2))
@@ -415,14 +449,14 @@ class TestPolarIdentityResidual:
     def test_completions_give_the_dense_value(self, n, lam):
         b = bs.enumerate_basis(n, lam)
         for root in ladder_roots(n):
-            for convention in ("plus", "paper-sign"):
+            for convention in ("plus", "paper-sign", "raw"):
                 factors = phases.polar_decompose(b, root, convention)
                 assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
 
     @pytest.mark.parametrize("root", ladder_roots(3))
     def test_su3_lambda_28_gives_the_dense_value(self, root):
         b = bs.enumerate_basis(3, 28)
-        for convention in ("plus", "paper-sign"):
+        for convention in ("plus", "paper-sign", "raw"):
             factors = phases.polar_decompose(b, root, convention)
             assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
 
@@ -440,7 +474,9 @@ class TestPolarIdentityResidual:
         rng = np.random.default_rng(seed)
         d = len(e)
         dmat, cmat = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        factors = phases.PolarFactors(e, dmat, "test", 0, cmat, Monomial.from_dense(e))
+        factors = phases.PolarFactors(
+            monomial=Monomial.from_dense(e), positive=dmat, convention="test", ladder=cmat
+        )
         assert phases.polar_identity_residual(factors) == pytest.approx(
             dense_polar_identity(factors), rel=1e-14
         )
@@ -456,18 +492,20 @@ class TestPolarIdentityResidual:
         for row in range(d):
             planted = cmat.copy()
             planted[row, rng.integers(d)] += 100.0
-            factors = phases.PolarFactors(e.dense(), dmat, "test", 0, planted, e)
+            factors = phases.PolarFactors(
+                monomial=e, positive=dmat, convention="test", ladder=planted
+            )
             want = np.max(np.abs(e.vals[:, None] * dmat - planted[e.rows]))
             got = phases.polar_identity_residual(factors)
             assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), row
 
     def test_other_unitaries_are_refused(self):
-        # a shear has no Monomial, so its factors carry none
+        # a shear has no Monomial, so no factors can hold it as E
         shear = np.array([[1, 1], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="monomial"):
-            Monomial.from_dense(shear)
-        with pytest.raises(ValueError, match="monomial"):
-            phases.polar_identity_residual(phases.PolarFactors(shear, shear, "test", 0, shear))
+            phases.PolarFactors(
+                monomial=Monomial.from_dense(shear), positive=shear, convention="test", ladder=shear
+            )
 
     @pytest.mark.parametrize("row", [0, 63, 64, 434])
     def test_a_nan_in_any_row_block_reads_nan(self, row):
@@ -477,11 +515,6 @@ class TestPolarIdentityResidual:
         positive[row, row] = np.nan
         poisoned = dataclasses.replace(factors, positive=positive)
         assert math.isnan(phases.polar_identity_residual(poisoned))
-
-    def test_raw_factors_are_refused(self):
-        factors = phases.polar_decompose(bs.enumerate_basis(3, 2), (1, 2), "raw")
-        with pytest.raises(ValueError, match="monomial"):
-            phases.polar_identity_residual(factors)
 
 
 class TestShift:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sunphases import phases, report
+from sunphases import pauli, phases, report
 from sunphases.basis import enumerate_basis
 from sunphases.cli import main
 from sunphases.generators import (
@@ -422,7 +422,8 @@ def test_complementary_payloads_are_the_encoding_of_the_dense_family(root, flag,
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0
     factors = phases.polar_decompose(enumerate_basis(3, 1), root, "complementary", angle)
-    emat = factors.unitary  # the family's own dense matrix, stored as built
+    family = {(1, 2): pauli.complementary_E12, (2, 3): pauli.complementary_E23}[root]
+    emat = family(angle)  # the family's own dense matrix, not the scatter of factors.monomial
     angles = {"beta": None, "gamma": None, flag[2:]: angle}
     assert result.output == _expected_envelope(
         result.output,
