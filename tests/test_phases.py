@@ -338,7 +338,8 @@ class TestKeptMonomial:
     @pytest.mark.parametrize("root", [(1, 2), (2, 3)])
     def test_complementary_keeps_its_monomial(self, root):
         factors = phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", 0.7)
-        assert np.array_equal(bits(factors.monomial.dense()), bits(factors.unitary))
+        family = TestComplementaryConvention.FAMILY[root](0.7)
+        assert np.array_equal(bits(factors.monomial.dense()), bits(family))
 
     @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
     def test_raw_is_the_plus_completion_less_its_kernel_columns(self, n, lam):
