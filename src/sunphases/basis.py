@@ -127,15 +127,6 @@ def weight_of(state: Occupations) -> Weight:
     return tuple(state[k] - state[k + 1] for k in range(len(state) - 1))
 
 
-def root_components(n: int, root: Root) -> Weight:
-    """Weight shift produced by the ladder operator C_ij (its root)."""
-    i, j = check_root(n, root)
-    shift = [0] * n
-    shift[i - 1] += 1
-    shift[j - 1] -= 1
-    return tuple(shift[k] - shift[k + 1] for k in range(n - 1))
-
-
 def cartesian_embedding(weight: Weight, n: int = 3) -> tuple[float, float]:
     """Map an su(3) weight (x, y) to the Cartesian weight plane.
 

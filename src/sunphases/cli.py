@@ -13,11 +13,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 import click
-import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases, report, verify
-from .generators import Monomial, build_generators, commutation_residual
+from .generators import build_generators, commutation_residual
 
 EXIT_VERIFY_FAILED = 1
 EXIT_RESIDUAL_BREACH = 3
@@ -86,8 +85,8 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 #   phases  120 streamed: 88.0-88.2 at n = 2 (lambda = 600 and 1000, one cycle, so phi
 #           is dense and phase_hermitian's L x L blocks set the figure), 31.5-31.7 at
 #           n = 3 (30 and 50), 31.7 at n = 4 (14 and 18) and 33.0-33.3 at n = 5 (8 and
-#           10), inline and with --out: phi is the one dense payload matrix, E and D
-#           are rendered from their Monomial forms, C is freed before phi is built.
+#           10), inline and with --out: E, D and C are held as Monomials, E and D
+#           rendered from them; phi and polar_decompose's transient C and D are dense.
 #           650 held: 500 at n = 2 (lambda = 250 and 399), 314-315 at n = 3 (20 and 26)
 #   gens    per matrix, for all n^2 - 1 of them.  40 streamed: the matrices are rendered
 #           from their Monomial forms a block of rows at a time, and the peak no longer
@@ -217,13 +216,11 @@ def cmd_phases(
         "unitarity": phases.unitarity_residual(factors.monomial),
         "polar_identity": phases.polar_identity_residual(factors),
     }
-    e, diagonal = factors.monomial, np.diagonal(factors.positive).copy()
-    del factors  # frees C and the dense D before phi is built
     results = {
         "dimension": len(basis),
-        "E": e,
-        "D": Monomial(np.arange(len(basis)), diagonal),
-        "phi": phases.phase_hermitian(e),
+        "E": factors.monomial,
+        "D": factors.modulus,
+        "phi": phases.phase_hermitian(factors.monomial),
     }
     _emit_report(
         "phases",

@@ -2,9 +2,10 @@
 
 In the exponential-function basis the ladder coefficients are integers,
 (j -+ m) for su(2) and mode occupations for su(3), instead of the square
-roots of the Hermitian realization.  A diagonal binomial-square-root matrix
-intertwines the two pictures; the phase part of the polar decomposition is
-unchanged by that similarity, which is the point of the whole construction.
+roots of the Hermitian realization.  A diagonal binomial-square-root matrix,
+its entries the roots of exact integer binomials to within one ulp at every
+spin, intertwines the two pictures; the phase part of the polar decomposition
+is unchanged by that similarity, which is the point of the whole construction.
 The su(2) sets are the n = 2 `GeneratorSet`s, read through `ladder` as
 `Monomial`s: the checks scale their values by the intertwiner's diagonal,
 the phase part divides them by their moduli, and every residual compares
@@ -64,20 +65,25 @@ def intertwiner(j: float) -> np.ndarray:
 
 
 def _intertwiner_diagonal(j: float) -> np.ndarray:
-    """K_mm = sqrt(C(2j, j+m)) for m = j, ..., -j.
+    """K_mm = sqrt(C(2j, j+m)) for m = j, ..., -j, within 1 ulp of the exact root.
 
-    Exact integer binomials for moderate spins, log-gamma evaluation beyond.
-    Every entry is finite up to 2j = 2053; larger spins, whose middle entry
-    overflows a float, raise ValueError before anything is computed.
+    Each binomial is an exact int, the previous one times (2j - p) / (p + 1),
+    rooted from its leading 106 or 107 bits: an even number of bits is cut and
+    math.ldexp scales back by half of it, exactly.  Up to 2j = 60 nothing is cut
+    and the entry is sqrt(float(C(2j, p))).  Every entry is finite up to
+    2j = 2053; larger spins, whose middle entry overflows a float, raise
+    ValueError before anything is computed.
     """
     two_j = _check_spin(j)
     if two_j > _MAX_TWO_J:
         raise ValueError(f"2j = {two_j} exceeds {_MAX_TWO_J}: sqrt(C(2j, j)) overflows a float")
-    if two_j <= 60:
-        return np.sqrt([float(math.comb(two_j, p)) for p in range(two_j + 1)])
-    top = math.lgamma(two_j + 1)
-    logs = [0.5 * (top - math.lgamma(p + 1) - math.lgamma(two_j - p + 1)) for p in range(two_j + 1)]
-    return np.array([math.exp(x) for x in logs])
+    diagonal = np.empty(two_j + 1)
+    comb = 1
+    for p in range(two_j + 1):
+        cut = max(0, comb.bit_length() - 106) // 2
+        diagonal[p] = math.ldexp(math.sqrt(comb >> 2 * cut), cut)
+        comb = comb * (two_j - p) // (p + 1)
+    return diagonal
 
 
 def hermitize_check(j: float) -> float:

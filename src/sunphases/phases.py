@@ -14,16 +14,15 @@ fixed points off it, so a `sweep` costs O(d) per lambda and holds no d x d
 array.  It measures how badly the corresponding phases fail to be additive;
 `noncommutativity_norm` and `sweep` quantify this across irreps and compare
 against the closed-form edge-counting predictions and `exact_raw_norm`.  Dense
-matrices appear only at the boundary.  `polar_decompose` holds E, under every
-convention, as one `Monomial`, which the `phases` payload renders block by
-block, as it renders D from its diagonal, and `Monomial.from_dense` reads
-dense input back.  C, D and phi are still dense d x d arrays.
+matrices appear only at the boundary.  `polar_decompose` holds E, D and C as
+`Monomial`s, which the `phases` payload renders block by block; phi is the one
+dense factor, besides the transient C that `positive_factor` reads and its D.
 
 The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
 eigendecomposition.  A completed E is monomial, so `unitarity_residual` reads
-its nonzeros, `polar_identity_residual` gathers E D from them with no matrix
-product, and `phase_hermitian` takes the logarithm cycle by cycle; for a
+its nonzeros, `polar_identity_residual` composes E D and compares it with C
+in O(d), and `phase_hermitian` takes the logarithm cycle by cycle; for a
 signed permutation the (-pi, pi] branch holds by construction, with no snap.
 Input of any other shape is refused with ValueError.
 """
@@ -47,7 +46,7 @@ from .basis import (
     enumerate_basis,
     su2_strings,
 )
-from .generators import Monomial, _check_spin, generator_matrix
+from .generators import Monomial, _boson_coefficient, _check_spin, generator_matrix
 from .pauli import complementary_E12, complementary_E23
 
 #: Unitary completion conventions: wrap phase of each cyclic string.
@@ -61,7 +60,6 @@ _CONVENTIONS = (*_WRAP_PHASE, "raw", "complementary")
 
 _KERNEL_REL_THRESHOLD = 1e-10
 _UNITARITY_TOL = 1e-10
-_ROW_BLOCK = 64
 
 
 def positive_factor(mat: np.ndarray) -> np.ndarray:
@@ -105,27 +103,31 @@ def su2_invariant_completion(
 
 @dataclass(frozen=True)
 class PolarFactors:
-    """Polar factorization C = E D of one ladder matrix.
+    """Polar factorization C = E D of one ladder matrix, each factor a `Monomial`.
 
     monomial is E: the completed unitary, or under "raw" the partial isometry,
-    which is the plus completion with its kernel columns set to 0.  positive is
-    the Hermitian PSD factor D and ladder is C itself.  unitary scatters E on
-    each read, and kernel_dimension counts the zeros on D's diagonal: the
-    columns of the partial isometry that a completion fills.
+    which is the plus completion with its kernel columns set to 0.  modulus is
+    the Hermitian PSD factor D, diagonal, and ladder is C itself.  unitary and
+    positive scatter E and D on each read, and kernel_dimension counts the
+    zeros of D: the columns of the partial isometry that a completion fills.
     """
 
     monomial: Monomial
-    positive: np.ndarray
+    modulus: Monomial
     convention: str
-    ladder: np.ndarray
+    ladder: Monomial
 
     @property
     def unitary(self) -> np.ndarray:
         return self.monomial.dense()
 
     @property
+    def positive(self) -> np.ndarray:
+        return self.modulus.dense()
+
+    @property
     def kernel_dimension(self) -> int:
-        return int(np.count_nonzero(np.diagonal(self.positive) == 0))
+        return int(np.count_nonzero(self.modulus.vals == 0))
 
 
 def polar_decompose(
@@ -139,7 +141,7 @@ def polar_decompose(
     "complementary".  Only "complementary" takes an angle (beta for root 1,2,
     gamma for root 2,3, default 0), and only on the fundamental su(3) irrep;
     anything else, an unknown convention or a non-finite angle included, raises
-    ValueError before C is built.
+    ValueError before C is built.  C takes the rows of the cyclic completion.
     """
     root = check_root(basis.n, root)
     if convention not in _CONVENTIONS:
@@ -158,16 +160,19 @@ def polar_decompose(
         e = Monomial.from_dense(_COMPLEMENTARY[root](0.0 if angle is None else angle))
     elif angle is not None:
         raise ValueError(f"the {convention!r} completion takes no angle")
-    cmat = generator_matrix(basis, *root)
-    dmat = positive_factor(cmat)
+    diagonal = np.diagonal(positive_factor(generator_matrix(basis, *root))).copy()
     kernel = _kernel_mask(basis, root)
-    if not np.array_equal(np.diagonal(dmat) == 0, kernel):
+    if not np.array_equal(diagonal == 0, kernel):
         raise RuntimeError(f"D's zero diagonal does not match the edge n_j = 0 of root {root}")
     if convention != "complementary":
         e = su2_invariant_completion(basis, root, "plus" if convention == "raw" else convention)
         vals = np.where(kernel, 0.0, e.vals) if convention == "raw" else e.vals
         e = Monomial(e.rows, vals.astype(complex))
-    return PolarFactors(monomial=e, positive=dmat, convention=convention, ladder=cmat)
+    # the su(2)-string image: the rows of C, and of every cyclic completion
+    image = su2_strings(basis, root).image if convention == "complementary" else e.rows
+    ni, nj = (basis.occupations[:, k - 1] for k in root)
+    c = Monomial(image, _boson_coefficient(ni, nj))
+    return PolarFactors(e, Monomial(np.arange(len(basis)), diagonal), convention, c)
 
 
 def su2_shift_E(j: float) -> np.ndarray:
@@ -193,20 +198,13 @@ def unitarity_residual(mat: np.ndarray | Monomial) -> float:
 
 
 def polar_identity_residual(factors: PolarFactors) -> float:
-    """Largest entry modulus of E D - C, with E the Monomial factors.monomial.
+    """Largest entry modulus of E D - C, read off the three `Monomial` factors in O(d).
 
-    Row rows[k] of E D is vals[k] times row k of D, so E D is gathered from E's
-    index and value arrays, _ROW_BLOCK rows at a time, with no matrix product,
-    whatever the structure of D.  A value of 0, as in every kernel column of a
-    raw partial isometry, gathers a zero row.
+    E D is composed on the index and value arrays and compared with C by
+    `Monomial.max_abs_difference`, bit for bit the dense value, whatever the
+    structure of D; a NaN in any factor reads NaN.
     """
-    e = factors.monomial
-    residual = 0.0
-    for lo in range(0, len(e.rows), _ROW_BLOCK):
-        k = slice(lo, lo + _ROW_BLOCK)
-        defect = e.vals[k, None] * factors.positive[k] - factors.ladder[e.rows[k]]
-        residual = float(np.maximum(residual, np.max(np.abs(defect))))
-    return residual
+    return (factors.monomial @ factors.modulus).max_abs_difference(factors.ladder)
 
 
 def _as_monomial(mat: np.ndarray | Monomial) -> Monomial:

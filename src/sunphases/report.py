@@ -28,6 +28,7 @@ from __future__ import annotations
 import datetime
 import functools
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -46,7 +47,8 @@ INLINE_DIM_LIMIT = 400
 #: payload string that equals the slot.
 _SLOT = "\ud800matrix\ud800"
 
-#: Pairs `matrix_payload` reads at a time, so its temporaries stay bounded as d grows.
+#: Pairs `matrix_payload` reads at a time, in whole rows (at least one), so its
+#: temporaries stay bounded as d grows.
 _BLOCK = 32768
 
 
@@ -66,18 +68,19 @@ def _separators(ndim: int, pad: str) -> tuple[tuple[bytes, ...], bytes]:
 def _blocks(
     mat: np.ndarray | Monomial,
 ) -> tuple[tuple[int, ...], Iterator[tuple[int, np.ndarray]]]:
-    """The shape of mat and its complex blocks of at most _BLOCK pairs, each at its flat offset.
+    """The shape of mat and its complex blocks of whole leading-axis rows, each at its flat offset.
 
-    A `Monomial` is scattered by `Monomial.dense` one range of rows at a time,
-    at least one row per block; an array is read in place.
+    A block holds as many rows as fit in _BLOCK pairs, at least one, and a 1-D
+    vector is one block.  A `Monomial` is scattered by `Monomial.dense` one
+    range of rows at a time; an array is read in place.
     """
-    if isinstance(mat, Monomial):
-        d = len(mat.rows)
-        step = max(1, _BLOCK // d)
-        return mat.shape, ((lo * d, mat.dense(lo, lo + step)) for lo in range(0, d, step))
-    mat = np.ascontiguousarray(mat, dtype=complex)
-    flat = mat.reshape(-1)
-    return mat.shape, ((lo, flat[lo : lo + _BLOCK]) for lo in range(0, len(flat), _BLOCK))
+    if not isinstance(mat, Monomial):
+        mat = np.ascontiguousarray(mat, dtype=complex)
+    shape = mat.shape
+    width = math.prod(shape[1:])  # pairs per row
+    step = shape[0] if len(shape) == 1 else max(1, _BLOCK // width)
+    read = mat.dense if isinstance(mat, Monomial) else lambda lo, hi: mat[lo:hi]
+    return shape, ((lo * width, read(lo, lo + step)) for lo in range(0, shape[0], step))
 
 
 def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
@@ -88,11 +91,12 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
     bit pattern once per matrix (repr, NaN, Infinity or -Infinity), kept for
     later blocks in a memo keyed by the bits, since a key by value would
     merge -0.0 with 0.0.  Their restart depths pick json's separators.  Each
-    run of zero pairs between two of them lies inside one row and is a slice
+    run of zero pairs after one of them lies inside one row and is a slice
     of one row of zero pairs, cut once per distinct length in the block.
-    Blocks come from `_blocks`, so a `Monomial` gives the bytes of its dense
-    matrix, and each block's text is yielded as it is joined, so no piece
-    holds more than one block.
+    Blocks come from `_blocks` as whole rows, so each opens with a special
+    pair and ends with its own zero run; a `Monomial` gives the bytes of its
+    dense matrix, and each block's text is yielded as it is joined, so no
+    piece holds more than one block.
     """
     shape, blocks = _blocks(mat)
     before, tail = _separators(len(shape) + 1, pad)
@@ -101,14 +105,13 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
     spans = np.cumprod(shape[::-1]).tolist()
     zeros = memoryview(zero * spans[0])
     spelled: dict[int, bytes] = {}  # json's word for each bit pattern met so far
-    last = -1
     for start, pairs in blocks:
         block = pairs.view(np.uint64).reshape(-1, 2)
         special = (block[:, 0] | block[:, 1]) != 0
-        special[-start % spans[0] :: spans[0]] = True
+        special[:: spans[0]] = True
         at = np.flatnonzero(special)
-        if not len(at):
-            continue
+        # zero pairs after each special pair, up to the next one or the block's end
+        gaps = np.diff(at, append=len(special)) - 1
         found, leaf = np.unique(block[at].ravel(), return_inverse=True)
         del pairs, block, special  # free a scattered block before its text is joined
         keys = found.tolist()
@@ -117,26 +120,21 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
             text = json.dumps(np.array(new, dtype=np.uint64).view(float).tolist())
             spelled.update(zip(new, text[1:-1].encode().split(b", ")))
         words = np.array([spelled[key] for key in keys], dtype=object)
-        at += start
-        # zero pairs before each special pair, back to the previous one in any block
-        gaps = at - 1
-        gaps[1:] -= at[:-1]
-        gaps[0] -= last
         lengths, run = np.unique(gaps, return_inverse=True)
         runs = np.empty(len(lengths), dtype=object)
         for k, gap in enumerate(lengths.tolist()):
             runs[k] = zeros[: len(zero) * gap]
+        at += start
         depth = np.ones_like(at)  # lists that close and reopen before the pair
         for span in spans:
             depth += at % span == 0
         parts = np.empty((len(at), 5), dtype=object)
-        parts[:, 0] = runs[run]
-        parts[:, 1] = restarts[depth]
-        parts[:, 2:5:2] = words[leaf.reshape(-1, 2)]
-        parts[:, 3] = before[0]
+        parts[:, 0] = restarts[depth]
+        parts[:, 1:4:2] = words[leaf.reshape(-1, 2)]
+        parts[:, 2] = before[0]
+        parts[:, 4] = runs[run]
         yield b"".join(parts.ravel().tolist())
-        last = at[-1]
-    yield b"".join([zeros[: len(zero) * (spans[-1] - 1 - last)], tail])
+    yield tail
 
 
 def _default(matrices: list[np.ndarray | Monomial], value: Any) -> Any:

@@ -196,7 +196,8 @@ class TestPhases:
             bs.enumerate_basis(3, lam), cli._parse_root(root), convention,
             None if angle is None else float(angle[1]),
         )
-        dense = float(np.max(np.abs(factors.unitary @ factors.positive - factors.ladder)))
+        c = factors.ladder.dense()
+        dense = float(np.max(np.abs(factors.unitary @ factors.positive - c)))
         assert json.loads(out.read_text())["residuals"]["polar_identity"] == dense
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -212,6 +213,22 @@ class TestIntertwiner:
             math.exp(0.5 * (math.lgamma(2055) - 2 * math.lgamma(1028)))
         with pytest.raises(ValueError, match="overflows"):
             coherent._intertwiner_diagonal(1027)
+
+    @pytest.mark.parametrize("two_j", range(61))
+    def test_moderate_spins_are_the_rounded_binomial_roots_bit_for_bit(self, two_j):
+        want = np.sqrt([float(math.comb(two_j, p)) for p in range(two_j + 1)])
+        got = coherent._intertwiner_diagonal(two_j / 2)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("two_j", [61, 62, 200, 1001, 2052, 2053])
+    def test_every_entry_is_within_one_ulp_of_the_exact_root(self, two_j):
+        # a 50-digit reference: far finer than the half ulp a float carries
+        context = decimal.Context(prec=50)
+        got = coherent._intertwiner_diagonal(two_j / 2)
+        for p in range(two_j + 1):
+            exact = context.sqrt(decimal.Decimal(math.comb(two_j, p)))
+            error = abs(decimal.Decimal(got[p]) - exact)
+            assert error <= decimal.Decimal(math.ulp(float(exact))), (two_j, p)
 
 
 class TestHermitization:

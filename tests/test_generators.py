@@ -163,7 +163,9 @@ def dense_commutation_residual(gens):
                 expected = expected - op(k, j)
             defect = a @ b - b @ a - expected
             residual = max(residual, float(np.max(np.abs(defect))))
-        shift = bs.root_components(n, (i, j))
+        # C_ij raises n_i and lowers n_j, shifting weight component k by e_k - e_{k+1}
+        moved = [(m == i) - (m == j) for m in range(1, n + 1)]
+        shift = [moved[k] - moved[k + 1] for k in range(n - 1)]
         for k, h in enumerate(gens.cartans):
             defect = h @ a - a @ h - shift[k] * a
             residual = max(residual, float(np.max(np.abs(defect))))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +297,10 @@ class TestCompletion:
             assert np.all(factors.unitary[:, k] == 0)
 
 
+def same_bits(x, y):
+    return np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
+
+
 def bits(mat):
     """The bit patterns of a complex array, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(mat).view(np.uint64)
@@ -442,7 +447,7 @@ class TestUnitarityResidual:
 
 def dense_polar_identity(factors):
     """Oracle: the largest entry of |E D - C| from the dense product."""
-    return float(np.max(np.abs(factors.unitary @ factors.positive - factors.ladder)))
+    return float(np.max(np.abs(factors.unitary @ factors.positive - factors.ladder.dense())))
 
 
 class TestPolarIdentityResidual:
@@ -467,55 +472,78 @@ class TestPolarIdentityResidual:
         factors = phases.polar_decompose(bs.enumerate_basis(3, 1), root, "complementary", angle)
         assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
 
-    @settings(deadline=None)
-    @given(monomial_unitaries(), st.integers(0, 2**32 - 1))
-    def test_any_positive_factor_gives_the_dense_product(self, e, seed):
-        # E D is gathered, not assumed diagonal: a dense D and C give the dense value,
-        # up to the rounding of the BLAS kernel's complex products
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_defects_and_a_monomial_d_give_the_dense_product(self, seed):
+        # E D is composed, not assumed diagonal: D permutes here, and C = E D but for
+        # one planted value or one swapped pair of rows, wherever it sits
         rng = np.random.default_rng(seed)
-        d = len(e)
-        dmat, cmat = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        factors = phases.PolarFactors(
-            monomial=Monomial.from_dense(e), positive=dmat, convention="test", ladder=cmat
-        )
-        assert phases.polar_identity_residual(factors) == pytest.approx(
-            dense_polar_identity(factors), rel=1e-14
-        )
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, 63, 64, 65, 1000])
-    def test_every_row_block_is_read(self, monkeypatch, block):
-        # the blocked gather equals the whole one bit for bit, wherever the defect sits
-        monkeypatch.setattr(phases, "_ROW_BLOCK", block)
-        rng = np.random.default_rng(block)
         d = 130
-        e = Monomial(rng.permutation(d), np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
-        dmat, cmat = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
-        for row in range(d):
-            planted = cmat.copy()
-            planted[row, rng.integers(d)] += 100.0
-            factors = phases.PolarFactors(
-                monomial=e, positive=dmat, convention="test", ladder=planted
-            )
-            want = np.max(np.abs(e.vals[:, None] * dmat - planted[e.rows]))
-            got = phases.polar_identity_residual(factors)
-            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), row
+        e, dmod = (
+            Monomial(rng.permutation(d), np.exp(1j * rng.uniform(-np.pi, np.pi, d)))
+            for _ in range(2)
+        )
+        c = e @ dmod
+        for col in range(d):
+            vals = c.vals.copy()
+            vals[col] += 100.0
+            rows = c.rows.copy()
+            rows[[col, (col + 1) % d]] = rows[[(col + 1) % d, col]]
+            for ladder in (Monomial(c.rows, vals), Monomial(rows, c.vals)):
+                factors = phases.PolarFactors(
+                    monomial=e, modulus=dmod, convention="test", ladder=ladder
+                )
+                got = phases.polar_identity_residual(factors)
+                # row rows[k] of E D is vals[k] times row k of D, gathered entry by entry
+                gathered = e.vals[:, None] * dmod.dense() - ladder.dense()[e.rows]
+                assert same_bits(got, np.max(np.abs(gathered))), col
+                # the dense value also carries the rounding of the BLAS kernel's products
+                assert got == pytest.approx(dense_polar_identity(factors), rel=1e-14), col
 
     def test_other_unitaries_are_refused(self):
         # a shear has no Monomial, so no factors can hold it as E
         shear = np.array([[1, 1], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="monomial"):
             phases.PolarFactors(
-                monomial=Monomial.from_dense(shear), positive=shear, convention="test", ladder=shear
+                monomial=Monomial.from_dense(shear),
+                modulus=Monomial.from_dense(shear),
+                convention="test",
+                ladder=Monomial.from_dense(shear),
             )
 
     @pytest.mark.parametrize("row", [0, 63, 64, 434])
-    def test_a_nan_in_any_row_block_reads_nan(self, row):
-        # d = 435 spans seven row blocks; the NaN must survive the blocks after it
+    def test_a_nan_in_the_modulus_reads_nan(self, row):
+        # d = 435: a NaN anywhere in D, first or last row included, must survive the max
         factors = phases.polar_decompose(bs.enumerate_basis(3, 28), (1, 2))
-        positive = factors.positive.copy()
-        positive[row, row] = np.nan
-        poisoned = dataclasses.replace(factors, positive=positive)
+        vals = factors.modulus.vals.copy()
+        vals[row] = np.nan
+        poisoned = dataclasses.replace(factors, modulus=Monomial(factors.modulus.rows, vals))
         assert math.isnan(phases.polar_identity_residual(poisoned))
+
+    @pytest.mark.parametrize("n, lam", SMALL_IRREPS)
+    def test_kept_c_and_d_are_the_dense_builders_bit_for_bit(self, n, lam):
+        b = bs.enumerate_basis(n, lam)
+        cases = [(root, convention, None) for root in ladder_roots(n)
+                 for convention in ("plus", "paper-sign", "raw")]
+        if (n, lam) == (3, 1):
+            cases += [(root, "complementary", 0.7) for root in ((1, 2), (2, 3))]
+        for root, convention, angle in cases:
+            factors = phases.polar_decompose(b, root, convention, angle)
+            c = generator_matrix(b, *root)
+            assert np.array_equal(bits(factors.ladder.dense()), bits(c))
+            assert np.array_equal(bits(factors.positive), bits(phases.positive_factor(c)))
+
+    def test_the_factors_hold_no_dense_matrix(self):
+        # at d = 1326 a dense C or D alone is 26.8 MiB; the three Monomials are O(d)
+        basis = bs.enumerate_basis(3, 50)
+        tracemalloc.start()
+        try:
+            factors = phases.polar_decompose(basis, (1, 2))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fields = [field.name for field in dataclasses.fields(factors)]
+        assert fields == ["monomial", "modulus", "convention", "ladder"]
+        assert retained < 2**20, retained
 
 
 class TestShift:
