@@ -82,12 +82,13 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 # headroom over the largest reading.  phases and gens stream their matrices to
 # stdout or to sidecars; with --out, matrices of at most report.INLINE_DIM_LIMIT
 # rows stay in the envelope, whose text is held whole, so that case has its own figure.
-#   phases  120 streamed: 88.0-88.2 at n = 2 (lambda = 600 and 1000, one cycle, so phi
-#           is dense and phase_hermitian's L x L blocks set the figure), 31.5-31.7 at
-#           n = 3 (30 and 50), 31.7 at n = 4 (14 and 18) and 33.0-33.3 at n = 5 (8 and
-#           10), inline and with --out: E, D and C are held as Monomials, E and D
-#           rendered from them; phi and polar_decompose's transient C and D are dense.
-#           650 held: 500 at n = 2 (lambda = 250 and 399), 314-315 at n = 3 (20 and 26)
+#   phases  70 streamed: 53.0-54.4 at n = 2 (lambda = 1000 and 1200, 800 and 1200; one
+#           cycle, so phi and the one L x L block phase_hermitian builds for it, with its
+#           twist and lag gather, set the figure; 36.4 from 600 to 1000), 30.4 at n = 3
+#           (30 and 50), 31.8 at n = 4 (14 and 18) and 32.1 at n = 5 (8 and 10), inline
+#           and with --out: E, D and C are held as Monomials, E and D rendered from
+#           them; phi and polar_decompose's transient C and D are dense.
+#           650 held: 565-567 at n = 2 (lambda = 250 and 399), 314 at n = 3 (20 and 26)
 #   gens    per matrix, for all n^2 - 1 of them.  40 streamed: the matrices are rendered
 #           from their Monomial forms a block of rows at a time, and the peak no longer
 #           grows with d^2: -0.5 to 0.1 at n = 2 (lambda = 300 and 500) and n = 3 (30
@@ -115,6 +116,22 @@ def _refuse_unfit(n: int, lam: int, nbytes: Callable[[int, int], int]) -> None:
         )
 
 
+def _existing_parent(ctx: click.Context, param: click.Parameter, out: Path | None) -> Path | None:
+    if out is not None and not out.parent.is_dir():
+        raise click.BadParameter(f"directory '{out.parent}' does not exist", ctx, param)
+    return out
+
+
+#: The --out of every command: a file, not a directory, in a directory that exists,
+#: refused with a usage error before anything is computed.
+_out_option = click.option(
+    "--out",
+    type=click.Path(path_type=Path, dir_okay=False),
+    default=None,
+    callback=_existing_parent,
+)
+
+
 def _parse_root(value: str) -> tuple[int, int]:
     try:
         i, j = (int(part) for part in value.split(","))
@@ -132,7 +149,7 @@ def main() -> None:
 @click.option("--n", type=int, required=True, help="number of boson modes")
 @click.option("--lambda", "lam", type=int, required=True, help="total occupation")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_basis(n: int, lam: int, fmt: str, out: Path | None) -> None:
     """Emit the ordered occupation basis with weights."""
     try:
@@ -155,7 +172,7 @@ def cmd_basis(n: int, lam: int, fmt: str, out: Path | None) -> None:
 @main.command("gens")
 @click.option("--n", type=int, required=True)
 @click.option("--lambda", "lam", type=int, required=True)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_gens(n: int, lam: int, out: Path | None) -> None:
     """Emit ladder and Cartan matrices plus the commutation residual."""
     matrices = n * n - 1
@@ -185,7 +202,7 @@ def cmd_gens(n: int, lam: int, out: Path | None) -> None:
 )
 @click.option("--beta", type=float, default=None, help="complementary angle for E_12")
 @click.option("--gamma", type=float, default=None, help="complementary angle for E_23")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_phases(
     n: int,
     lam: int,
@@ -204,7 +221,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _report_entry(120, 650, out))
+        _refuse_unfit(n, lam, _report_entry(70, 650, out))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma
@@ -250,7 +267,7 @@ def cmd_phases(
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--threads", type=click.IntRange(min=1), default=1)
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_sweep(
     n: int,
     lam_min: int,
@@ -314,7 +331,7 @@ def cmd_sweep(
 
 
 @main.command("pauli")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_pauli(out: Path | None) -> None:
     """Emit the generalized Pauli pair and the additive complementary solutions."""
     pair = pauli.pauli_generators(3)
@@ -331,7 +348,7 @@ def cmd_pauli(out: Path | None) -> None:
 @main.command("gamma")
 @click.option("--j", "spin", type=float, default=None, help="su(2) spin")
 @click.option("--lambda", "lam", type=int, default=None, help="su(3) irrep label")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
     """Coherent-state realization diagnostics for su(2) (--j) or su(3) (--lambda)."""
     if (spin is None) == (lam is None):
@@ -376,7 +393,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(list(verify.SUITES)), default="all")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
+@_out_option
 def cmd_verify(suite: str, out: Path | None) -> None:
     """Run an invariant suite; exit 0 iff every check passes."""
     checks = verify.run_suite(suite)

@@ -253,8 +253,8 @@ def commutation_residual(gens: GeneratorSet) -> float:
 
 def _check_spin(j: float) -> int:
     """Return 2j as an int, rejecting invalid spins."""
-    if not math.isfinite(j):
-        raise ValueError(f"spin must be finite, got j={j}")
+    if not math.isfinite(2 * j):
+        raise ValueError(f"2j must be finite, got j={j}")
     two_j = round(2 * j)
     if two_j < 0 or abs(2 * j - two_j) > 1e-12:
         raise ValueError(f"2j must be a non-negative integer, got j={j}")

@@ -22,9 +22,9 @@ The routines read the structure they are given.  A ladder C_ij has at most
 one nonzero per row, so D is diagonal and `positive_factor` needs no
 eigendecomposition.  A completed E is monomial, so `unitarity_residual` reads
 its nonzeros, `polar_identity_residual` composes E D and compares it with C
-in O(d), and `phase_hermitian` takes the logarithm cycle by cycle; for a
-signed permutation the (-pi, pi] branch holds by construction, with no snap.
-Input of any other shape is refused with ValueError.
+in O(d), and `phase_hermitian` checks exp(i phi) on each cycle's 2L - 1 lags;
+for a signed permutation the (-pi, pi] branch holds by construction, with no
+snap.  Input of any other shape is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -219,10 +219,10 @@ def phase_hermitian(unitary: np.ndarray | Monomial) -> np.ndarray:
     """Hermitian phase matrix phi with exp(i phi) equal to the given unitary.
 
     The unitary must be monomial, as every completed E is: a `Monomial`, or a
-    dense matrix read with `Monomial.from_dense`.  It splits into cycles, and
-    each cycle's block of phi is built exactly from its eigenphases in
-    (-pi, pi] (see `_cycle_phase`); when the cycle product is +1 or -1, as
-    for every signed permutation, an eigenvalue -1 gets +pi by construction.
+    dense matrix read with `Monomial.from_dense`.  Each cycle's block of phi is
+    built exactly from its eigenphases in (-pi, pi]; exp(i phi) must match the
+    cycle to 1e-10 on its 2L - 1 lag values, else RuntimeError (see `_cycle_phase`).
+    An eigenvalue -1 of a cycle with product +1 or -1 gets +pi by construction.
     Input that is not monomial, or whose nonzeros are not of unit modulus,
     raises ValueError: complete the polar factor first.
     """
@@ -234,13 +234,7 @@ def phase_hermitian(unitary: np.ndarray | Monomial) -> np.ndarray:
         raise ValueError("input is not a monomial unitary; polar completion required first")
     phi = np.zeros(e.shape, dtype=complex)
     for cycle in _cycles(e.rows):
-        vals = e.vals[cycle].astype(complex)
-        phi[np.ix_(cycle, cycle)], rebuilt = _cycle_phase(vals)
-        # less the unitary on the cycle, whose column t holds vals[t] in row t + 1 (mod L)
-        t = np.arange(len(cycle))
-        rebuilt[(t + 1) % len(cycle), t] -= vals
-        if not np.max(np.abs(rebuilt)) <= 1e-10:
-            raise RuntimeError("matrix logarithm failed to reproduce the unitary")
+        phi[np.ix_(cycle, cycle)] = _cycle_phase(e.vals[cycle].astype(complex))
     return phi
 
 
@@ -261,20 +255,20 @@ def _cycles(rows: np.ndarray) -> list[np.ndarray]:
     return cycles
 
 
-def _cycle_phase(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of phi and of exp(i phi) on one cycle of a monomial unitary.
+def _cycle_phase(vals: np.ndarray) -> np.ndarray:
+    """Block of phi on one cycle of a monomial unitary, checked against the cycle.
 
-    The unitary takes basis vector k_t to vals[t] k_{t+1} (indices mod L).
-    With prefix products P_t = vals[0] ... vals[t-1], the vectors P_t k_t turn
-    the cycle into a shift whose wrap is the cycle product p.  Its
-    eigenphases theta_m, the L values with L theta_m = arg p mod 2 pi, are
-    folded into (-pi, pi], and the block is the twisted circulant
-    phi[a, b] = P_a conj(P_b) g(a - b) with g(r) = (1/L) sum_m theta_m
-    exp(-i theta_m r); exp(i phi) uses exp(i theta_m) in place of theta_m.
-    When p is exactly +1 or -1, theta_m = pi q / L with integer q in (-L, L],
-    so an eigenvalue -1 reads +pi whatever the sign of zero in p.  Otherwise
-    theta_m comes from arg p, read as +pi when it rounds to -pi; no angle is
-    snapped, so the block reproduces the cycle to rounding.
+    The unitary takes basis vector k_t to vals[t] k_{t+1} (indices mod L).  With
+    prefix products P_t = vals[0] ... vals[t-1], the vectors P_t k_t turn the cycle
+    into a shift whose wrap is the cycle product p.  Its eigenphases theta_m, the L
+    values with L theta_m = arg p mod 2 pi, are folded into (-pi, pi], and the block
+    is the twisted circulant phi[a, b] = P_a conj(P_b) g(a - b) with g(r) = (1/L)
+    sum_m theta_m exp(-i theta_m r).  exp(i phi), with g_exp from exp(i theta_m), is
+    checked, not built: vals at lags 1 and 1 - L, 0 elsewhere (bounded by
+    max |P|^2 |g_exp|).  When p is exactly +1 or -1, theta_m = pi q / L with integer
+    q in (-L, L], so an eigenvalue -1 reads +pi whatever the sign of zero in p.
+    Otherwise theta_m comes from arg p, read as +pi when it rounds to -pi; no angle
+    is snapped, so the block reproduces the cycle to rounding.
     """
     size = len(vals)
     prefix = np.concatenate(([1.0 + 0.0j], np.cumprod(vals[:-1])))
@@ -287,16 +281,22 @@ def _cycle_phase(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         arg = np.angle(p)
         theta = ((np.pi if arg <= -np.pi else arg) + 2 * np.pi * m) / size
         theta[theta > np.pi] -= 2 * np.pi
-    waves = np.exp(-1j * np.multiply.outer(np.arange(1 - size, size), theta)) / size
-    # only g and its exp(i theta) twin outlive the table: free it before any L x L block
-    sums = [waves @ x for x in (theta, np.exp(1j * theta))]
-    del waves
-    lag = np.subtract.outer(m, m) + size - 1
-    twist = np.multiply.outer(prefix, prefix.conj())
-    phi, rebuilt = (twist * g[lag] for g in sums)
+    waves = -1j * np.multiply.outer(np.arange(1 - size, size), theta)
+    np.exp(waves, out=waves)
+    waves /= size
+    g, g_exp = waves @ theta, waves @ np.exp(1j * theta)
+    del waves  # free the table before the L x L block
+    row = (m + 1) % size  # column t of the cycle holds vals[t] in this row, at lag index k
+    k = row - m + (size - 1)
+    own = prefix[row] * prefix.conj() * g_exp[k] - vals
+    g_exp[k] = 0.0
+    if not np.max(np.abs(np.append(own, np.max(np.abs(prefix)) ** 2 * g_exp))) <= 1e-10:
+        raise RuntimeError("matrix logarithm failed to reproduce the unitary")
+    phi = np.multiply.outer(prefix, prefix.conj())
+    phi = phi * g[np.subtract.outer(m, m) + size - 1]  # not *=: the operand order sets bits
     phi += phi.conj().T
     phi *= 0.5
-    return phi, rebuilt
+    return phi
 
 
 def d_identity_residual(lam: int) -> float:

@@ -320,6 +320,14 @@ class TestGamma:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("spin", ["1e308", "9e307", "-1e308"])
+    def test_a_spin_whose_double_overflows_is_usage_error(self, runner, spin):
+        # 2j is inf, which round() cannot take
+        result = runner.invoke(main, ["gamma", "--j", spin])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "2j must be finite" in result.output
+
     def test_spin_past_the_float_range_is_usage_error(self, runner, monkeypatch):
         # 2j = 2054 overflows the intertwiner; it is refused before any matrix is built
         def built(j):
@@ -335,6 +343,52 @@ class TestGamma:
         assert (
             runner.invoke(main, ["gamma", "--j", "1", "--lambda", "1"]).exit_code == 2
         )
+
+
+#: One small call of each command, all of which take --out.
+OUT_COMMANDS = [
+    ["basis", "--n", "2", "--lambda", "2"],
+    ["gens", "--n", "2", "--lambda", "2"],
+    ["phases", "--n", "3", "--lambda", "28"],
+    ["sweep", "--n", "3", "--from", "1", "--to", "3"],
+    ["pauli"],
+    ["gamma", "--j", "1"],
+    ["verify"],
+]
+
+
+class TestOut:
+    """An --out that cannot be a file is a usage error before anything is computed."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_is_computed(self, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("the command ran before --out was checked")
+
+        for module, name in [
+            (cli.bs, "enumerate_basis"),
+            (cli.phases, "sweep"),
+            (cli.pauli, "pauli_generators"),
+            (cli.coherent, "_intertwiner_diagonal"),
+            (cli.verify, "run_suite"),
+        ]:
+            monkeypatch.setattr(module, name, computed)
+
+    @pytest.mark.parametrize("args", OUT_COMMANDS, ids=lambda args: args[0])
+    def test_a_missing_directory_is_usage_error(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "missing" / "run.json")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "does not exist" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", OUT_COMMANDS, ids=lambda args: args[0])
+    def test_a_directory_is_usage_error(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "is a directory" in result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMemoryGuard:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunphases import basis as bs
-from sunphases import coherent, generators
+from sunphases import coherent, generators, phases
 from sunphases.cli import main
 from sunphases.coherent import _occupation_coefficient
 from sunphases.generators import (
@@ -421,6 +421,14 @@ def test_su2_rejects_bad_spin():
 def test_su2_rejects_non_finite_spin(spin):
     with pytest.raises(ValueError, match="finite"):
         su2_matrices(spin)
+
+
+@pytest.mark.parametrize("spin", [1e308, 9e307, -1e308])
+def test_a_spin_whose_double_overflows_is_refused(spin):
+    # 2j is inf, which round() cannot take
+    for build in (generators._check_spin, su2_matrices, phases.su2_shift_E):
+        with pytest.raises(ValueError, match="2j must be finite"):
+            build(spin)
 
 
 @pytest.mark.parametrize("lam", range(1, 6))

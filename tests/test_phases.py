@@ -617,14 +617,12 @@ class TestPhaseHermitian:
         with pytest.raises(ValueError, match="polar completion"):
             phases.phase_hermitian(Monomial(e.rows, vals).dense())
 
-    def test_a_nan_rebuild_is_refused(self, monkeypatch):
-        cycle_phase = phases._cycle_phase
+    def test_a_nan_in_g_exp_is_refused(self, monkeypatch):
+        def nan_first(eigenvalues):
+            eigenvalues[0] = np.nan
+            return eigenvalues
 
-        def poisoned(vals):
-            block, rebuilt = cycle_phase(vals)
-            return block, np.full_like(rebuilt, np.nan)
-
-        monkeypatch.setattr(phases, "_cycle_phase", poisoned)
+        monkeypatch.setattr(phases, "np", PoisonedNumpy(nan_first))
         with pytest.raises(RuntimeError, match="logarithm"):
             phases.phase_hermitian(phases.su2_shift_E(1))
 
@@ -671,20 +669,46 @@ class TestPhaseHermitian:
             phases.phase_hermitian(q)
         assert np.max(np.abs(scipy.linalg.expm(1j * schur_phase(q)) - q)) < 1e-10
 
-    def test_cycle_blocks_are_checked_against_the_unitary(self, monkeypatch):
-        original = phases._cycle_phase
-
-        def off(vals):
-            phi, rebuilt = original(vals)
-            return phi, rebuilt * (1 + 1e-9)
-
-        monkeypatch.setattr(phases, "_cycle_phase", off)
+    def test_a_scaled_g_exp_is_refused(self, monkeypatch):
+        monkeypatch.setattr(phases, "np", PoisonedNumpy(lambda e: e * (1 + 1e-9)))
         with pytest.raises(RuntimeError, match="failed to reproduce"):
             phases.phase_hermitian(phases.su2_shift_E(2))
 
+    @pytest.mark.parametrize("planted, refused", [(2e-10, True), (0.5e-10, False)])
+    def test_a_defect_off_the_cycle_is_bounded(self, monkeypatch, planted, refused):
+        # a constant added to every exp(i theta_m) lands on lag 0 alone, the diagonal
+        # of exp(i phi): the cycle's own entries (lags 1 and 1 - L) do not see it
+        monkeypatch.setattr(phases, "np", PoisonedNumpy(lambda e: e + planted))
+        vals = phases.su2_invariant_completion(bs.enumerate_basis(2, 4), (2, 1)).vals
+        assert (rebuild_defect(vals.astype(complex), lambda e: e + planted) > 1e-10) == refused
+        if refused:
+            with pytest.raises(RuntimeError, match="failed to reproduce"):
+                phases.phase_hermitian(phases.su2_shift_E(2))
+        else:
+            phases.phase_hermitian(phases.su2_shift_E(2))
 
-def lag_cycle_phase(vals):
-    """Oracle: the cycle blocks from the whole (2L - 1) x L wave table and a lag table."""
+
+class PoisonedNumpy:
+    """numpy, with poison applied to the exp(i theta) that `_cycle_phase` reads g_exp from.
+
+    That is its one numpy.exp call without out=; the wave table is exponentiated in place.
+    """
+
+    def __init__(self, poison):
+        self.poison = poison
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, **kwargs):
+        return np.exp(x, **kwargs) if kwargs else self.poison(np.exp(x))
+
+
+def lag_cycle_phase(vals, poison=None):
+    """Oracle: the cycle blocks from the whole (2L - 1) x L wave table and a lag table.
+
+    poison, if given, applies to exp(i theta) before the exp(i phi) block is rebuilt.
+    """
     size = len(vals)
     prefix = np.concatenate(([1.0 + 0.0j], np.cumprod(vals[:-1])))
     p = prefix[-1] * vals[-1]
@@ -700,25 +724,82 @@ def lag_cycle_phase(vals):
     lag = np.subtract.outer(m, m) + size - 1
     twist = np.multiply.outer(prefix, prefix.conj())
     phi = twist * (waves @ theta)[lag]
-    rebuilt = twist * (waves @ np.exp(1j * theta))[lag]
+    eigenvalues = np.exp(1j * theta)
+    rebuilt = twist * (waves @ (eigenvalues if poison is None else poison(eigenvalues)))[lag]
     return 0.5 * (phi + phi.conj().T), rebuilt
 
 
+def rebuild_defect(vals, poison=None):
+    """Oracle: largest entry modulus of the rebuilt L x L exp(i phi) less the cycle."""
+    _, rebuilt = lag_cycle_phase(vals, poison)
+    t = np.arange(len(vals))
+    rebuilt[(t + 1) % len(vals), t] -= vals
+    return np.max(np.abs(rebuilt))
+
+
+def oracle_cycles(size):
+    """Signed cycles with product p = +1 and p = -1, then unit values with a generic p."""
+    rng = np.random.default_rng(size)
+    signs = rng.choice([-1.0, 1.0], size)
+    cases = []
+    for p in (1.0, -1.0):
+        vals = signs.astype(complex)
+        vals[-1] = p * np.prod(signs[:-1])
+        cases.append(vals)
+    cases.append(np.exp(1j * rng.uniform(-np.pi, np.pi, size)))
+    return cases
+
+
 class TestCyclePhaseOracle:
-    @pytest.mark.parametrize("size", range(1, 65))
+    # numpy multiplies a large temporary in place, which changes the operand order
+    # of phi's product from L = 128 on (256 KiB blocks): 128 and 200 pin that side
+    @pytest.mark.parametrize("size", [*range(1, 65), 128, 200])
     def test_blocks_are_bit_identical(self, size):
-        # signed cycles with product p = +1 and p = -1, then unit values with a generic p
-        rng = np.random.default_rng(size)
-        signs = rng.choice([-1.0, 1.0], size)
-        cases = []
-        for p in (1.0, -1.0):
-            vals = signs.astype(complex)
-            vals[-1] = p * np.prod(signs[:-1])
-            cases.append(vals)
-        cases.append(np.exp(1j * rng.uniform(-np.pi, np.pi, size)))
-        for vals in cases:
-            for got, want in zip(phases._cycle_phase(vals), lag_cycle_phase(vals)):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), vals
+        for vals in oracle_cycles(size):
+            got, (want, _) = phases._cycle_phase(vals), lag_cycle_phase(vals)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), vals
+
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_the_lag_check_refuses_what_the_rebuild_refuses(self, size, monkeypatch):
+        # The O(L) check may never pass a cycle whose rebuilt L x L block misses it by
+        # more than 1e-10; on these cases the two agree both ways.  Planted: modulus
+        # drift, an eigenvalue exp(i theta_m) turned by delta, and a constant on every
+        # eigenvalue, which lands on lag 0 alone (off the cycle for L > 1).
+        rng = np.random.default_rng(1000 + size)
+        cases = [(vals, None) for vals in oracle_cycles(size)]
+        for drift in (0.49e-10, 1e-11):
+            cases += [(vals * (1 + drift), None) for vals in oracle_cycles(size)]
+        for delta in (1e-11, 1e-10, 3e-10, 1e-9, 1e-6, 1.0):
+            m = int(rng.integers(size))
+
+            def turn(eigenvalues, m=m, delta=delta):
+                eigenvalues[m] *= np.exp(1j * delta)
+                return eigenvalues
+
+            cases += [(vals, turn) for vals in oracle_cycles(size)]
+        for c in (0.5e-10, 2e-10):
+            cases += [(vals, lambda e, c=c: e + c) for vals in oracle_cycles(size)]
+        for vals, poison in cases:
+            want = not rebuild_defect(vals, poison) <= 1e-10
+            with monkeypatch.context() as patch:
+                if poison is not None:
+                    patch.setattr(phases, "np", PoisonedNumpy(poison))
+                try:
+                    phases._cycle_phase(vals)
+                    got = False
+                except RuntimeError:
+                    got = True
+            assert got == want, (vals, poison)
+
+    @pytest.mark.parametrize("size", [5, 30])
+    def test_modulus_drift_within_the_unitarity_tolerance_is_refused(self, size):
+        # |v|^2 - 1 = 0.98e-10 passes phase_hermitian's unitarity gate, but the cycle
+        # product drifts by size times that and exp(i phi), unit by construction, misses it
+        for vals in oracle_cycles(size):
+            drifted = vals * (1 + 0.49e-10)
+            assert rebuild_defect(drifted) > 1e-10
+            with pytest.raises(RuntimeError, match="failed to reproduce"):
+                phases._cycle_phase(drifted)
 
 
 class TestGroupCommutator:
