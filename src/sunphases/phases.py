@@ -290,7 +290,7 @@ def _cycle_phase(vals: np.ndarray) -> np.ndarray:
     k = row - m + (size - 1)
     own = prefix[row] * prefix.conj() * g_exp[k] - vals
     g_exp[k] = 0.0
-    if not np.max(np.abs(np.append(own, np.max(np.abs(prefix)) ** 2 * g_exp))) <= 1e-10:
+    if not np.abs(np.concatenate((own, np.abs(prefix).max() ** 2 * g_exp))).max() <= 1e-10:
         raise RuntimeError("matrix logarithm failed to reproduce the unitary")
     phi = np.multiply.outer(prefix, prefix.conj())
     phi = phi * g[np.subtract.outer(m, m) + size - 1]  # not *=: the operand order sets bits
