@@ -9,7 +9,6 @@ from .basis import (
     dimension,
     edge_overlap_count,
     enumerate_basis,
-    kernel_states,
     su2_strings,
     weight_of,
 )
@@ -17,7 +16,6 @@ from .generators import (
     GeneratorSet,
     Monomial,
     build_generators,
-    cartan_matrix,
     commutation_residual,
     generator_matrix,
     su2_matrices,
@@ -52,7 +50,7 @@ from .coherent import (
     gamma_su2,
     gamma_su3,
     hermitize_check,
-    intertwiner,
+    intertwiner_diagonal,
     nonhermiticity_witness,
     s_recursion_check,
 )

@@ -8,8 +8,8 @@ counting used to explain phase-operator non-commutativity.
 
 The basis is one (d, n) integer array of occupations, built level by level
 with no Python loop over states; the string partition is a sort of that array
-and the kernel edges are column tests on it.  State tuples, the state-to-index
-map and the strings as tuples are built only when something reads them.
+and the kernel edges are column tests on it.  State tuples are built only when
+something reads them.
 
 Everything here is exact integer combinatorics; floats appear only in the
 optional Cartesian embedding of su(3) weights.
@@ -87,14 +87,6 @@ class OrderedBasis:
         # from a list: tuple() of a bare iterator kept memory resident across calls
         return tuple([tuple(row) for row in self.occupations.tolist()])
 
-    @cached_property
-    def _index(self) -> dict[Occupations, int]:
-        return {s: k for k, s in enumerate(self.states)}
-
-    def index(self, state: Occupations) -> int:
-        """Position of a state in the canonical order."""
-        return self._index[tuple(state)]
-
 
 def enumerate_basis(n: int, lam: int) -> OrderedBasis:
     """Enumerate the occupation basis of (lam, 0, ..., 0) for n boson modes.
@@ -158,12 +150,6 @@ class StringPartition:
     bounds: np.ndarray
     image: np.ndarray
 
-    @cached_property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The strings as index tuples, ordered by their first index."""
-        strings = np.split(self.order, self.bounds[1:-1])
-        return tuple(sorted((tuple(s.tolist()) for s in strings), key=lambda s: s[0]))
-
 
 def su2_strings(basis: OrderedBasis, root: Root) -> StringPartition:
     """Group the basis into su(2)_{ij} strings for the root (i, j).
@@ -179,14 +165,6 @@ def su2_strings(basis: OrderedBasis, root: Root) -> StringPartition:
     image[order[:-1]] = order[1:]
     image[order[bounds[1:] - 1]] = order[bounds[:-1]]
     return StringPartition((i, j), order, bounds, image)
-
-
-def kernel_states(basis: OrderedBasis, root: Root) -> list[int]:
-    """Indices of states annihilated by C_ij, i.e. those with n_j = 0.
-
-    These are the edge states of the weight diagram for this root.
-    """
-    return np.flatnonzero(_kernel_mask(basis, root)).tolist()
 
 
 def _kernel_mask(basis: OrderedBasis, root: Root) -> np.ndarray:

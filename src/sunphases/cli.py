@@ -88,7 +88,10 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
 #           (30 and 50), 31.8 at n = 4 (14 and 18) and 32.1 at n = 5 (8 and 10), inline
 #           and with --out: E, D and C are held as Monomials, E and D rendered from
 #           them; phi and polar_decompose's transient C and D are dense.
-#           650 held: 565-567 at n = 2 (lambda = 250 and 399), 314 at n = 3 (20 and 26)
+#           970 held: 566-569 at n = 2 (lambda = 250 and 399; 475-477 from 300 to 399),
+#           312-313 at n = 3 (20 and 26).  At n = 2 the peak above an idle CLI over d^2
+#           itself reads 500-772 from lambda = 100 to 399, highest at 120 to 175, and
+#           the figure covers that reading too.
 #   gens    per matrix, for all n^2 - 1 of them.  40 streamed: the matrices are rendered
 #           from their Monomial forms a block of rows at a time, and the peak no longer
 #           grows with d^2: -0.5 to 0.1 at n = 2 (lambda = 300 and 500) and n = 3 (30
@@ -221,7 +224,7 @@ def cmd_phases(
                 f"--{flag} applies only to --convention complementary --root {i},{j}"
             )
     try:
-        _refuse_unfit(n, lam, _report_entry(70, 650, out))
+        _refuse_unfit(n, lam, _report_entry(70, 970, out))
         basis = bs.enumerate_basis(n, lam)
         factors = phases.polar_decompose(
             basis, root_pair, convention, beta if beta is not None else gamma
@@ -356,7 +359,7 @@ def cmd_gamma(spin: float | None, lam: int | None, out: Path | None) -> None:
     if spin is not None:
         try:
             # refuses 2j > 2053 before anything is built; the rest holds O(d), under 1 MB
-            diagonal = coherent._intertwiner_diagonal(spin)
+            diagonal = coherent.intertwiner_diagonal(spin)
             g = coherent.gamma_su2(spin)
         except ValueError as exc:
             raise click.UsageError(str(exc))

@@ -59,14 +59,10 @@ def nonhermiticity_witness(gamma: GeneratorSet) -> float:
     return gamma.ladder(1, 2).max_abs_difference(gamma.ladder(2, 1).adjoint())
 
 
-def intertwiner(j: float) -> np.ndarray:
-    """Diagonal binomial-square-root matrix K with K_mm = sqrt(C(2j, j+m))."""
-    return np.diag(_intertwiner_diagonal(j).astype(complex))
-
-
-def _intertwiner_diagonal(j: float) -> np.ndarray:
+def intertwiner_diagonal(j: float) -> np.ndarray:
     """K_mm = sqrt(C(2j, j+m)) for m = j, ..., -j, within 1 ulp of the exact root.
 
+    K is the diagonal binomial-square-root intertwiner; only its diagonal is built.
     Each binomial is an exact int, the previous one times (2j - p) / (p + 1),
     rooted from its leading 106 or 107 bits: an even number of bits is cut and
     math.ldexp scales back by half of it, exactly.  Up to 2j = 60 nothing is cut
@@ -89,7 +85,7 @@ def _intertwiner_diagonal(j: float) -> np.ndarray:
 def hermitize_check(j: float) -> float:
     """Residual of K^-1 Gamma K against the Hermitian spin-j matrices."""
     gamma, std = gamma_su2(j), su2_matrices(j)
-    k = _intertwiner_diagonal(j)
+    k = intertwiner_diagonal(j)
     kinv = 1.0 / k
     lowering = std.ladder(2, 1)
     pairs = ((gamma.ladder(2, 1), lowering), (gamma.ladder(1, 2), lowering.adjoint()))
@@ -105,7 +101,7 @@ def s_recursion_check(j: float) -> float:
     Each neighbouring pair of K entries is scaled by the same power of two, which
     is exact and leaves the relative defect unchanged, so K^2 cannot overflow.
     """
-    k = _intertwiner_diagonal(j)  # index p, m = j - p
+    k = intertwiner_diagonal(j)  # index p, m = j - p
     scale = np.ldexp(1.0, -np.frexp(k[1:])[1])
     s_above, s = (k[:-1] * scale) ** 2, (k[1:] * scale) ** 2  # S_{m+1}, S_m
     m = j - np.arange(1, len(k))

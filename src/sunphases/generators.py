@@ -8,17 +8,15 @@ image (`StringPartition.image`) of each column.  A `GeneratorSet` keeps the
 ladders in that form, `GeneratorSet.ladder` reads one out, and
 `commutation_residual` composes them by gathers.  `Monomial.dense` scatters a
 matrix, or a range of its rows, only where a caller reads it: the payloads
-render a `Monomial` one block of rows at a time, so the dense
-`GeneratorSet.ladders` and `cartans` are views for the tests alone.  Spin j
-is not a separate structure: `su2_matrices` is the set of the two-mode irrep
-lambda = 2j.
+render a `Monomial` one block of rows at a time, and each Cartan is a diagonal
+`Monomial` from `GeneratorSet.cartan`.  Spin j is not a separate structure:
+`su2_matrices` is the set of the two-mode irrep lambda = 2j.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -106,28 +104,8 @@ def generator_matrix(basis: OrderedBasis, i: int, j: int) -> np.ndarray:
     boson moved from mode j to mode i, and zero otherwise.
     """
     if i == j:
-        raise ValueError("C_ii is diagonal; use number_matrix or cartan_matrix")
+        raise ValueError("C_ii is diagonal; use GeneratorSet.cartan")
     return _shift(basis, i, j, _boson_coefficient).dense()
-
-
-def number_matrix(basis: OrderedBasis, i: int) -> np.ndarray:
-    """Diagonal matrix of the mode occupation C_ii = a_i^dag a_i."""
-    if not 1 <= i <= basis.n:
-        raise ValueError(f"mode index must lie in 1..{basis.n}, got {i}")
-    return np.diag(basis.occupations[:, i - 1].astype(complex))
-
-
-def _cartan(basis: OrderedBasis, k: int) -> Monomial:
-    """h_k = C_kk - C_{k+1,k+1} as a diagonal `Monomial`, with 1 <= k <= n-1."""
-    if not 1 <= k <= basis.n - 1:
-        raise ValueError(f"Cartan index must lie in 1..{basis.n - 1}, got {k}")
-    occ = basis.occupations
-    return Monomial(np.arange(len(occ)), (occ[:, k - 1] - occ[:, k]).astype(complex))
-
-
-def cartan_matrix(basis: OrderedBasis, k: int) -> np.ndarray:
-    """Diagonal matrix of h_k = C_kk - C_{k+1,k+1}, with 1 <= k <= n-1."""
-    return _cartan(basis, k).dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +114,7 @@ class GeneratorSet:
 
     Row p of the (P, d) arrays `images` and `coefficients` is the ladder roots[p]:
     column c of C holds coefficients[p, c] at row images[p, c], zero on the wrap
-    column of each string.  `ladder(i, j)` reads one as a `Monomial`; the dense
-    `ladders` and `cartans` are views for tests, built on first use.
+    column of each string.  `ladder(i, j)` reads one as a `Monomial`.
     """
 
     basis: OrderedBasis
@@ -153,18 +130,11 @@ class GeneratorSet:
         return Monomial(self.images[p], self.coefficients[p])
 
     def cartan(self, k: int) -> Monomial:
-        """The Cartan h_k as a diagonal `Monomial`; ValueError unless 1 <= k <= n-1."""
-        return _cartan(self.basis, k)
-
-    @cached_property
-    def ladders(self) -> dict[Root, np.ndarray]:
-        """Dense ladder matrices, keyed by root."""
-        return {root: self.ladder(*root).dense() for root in self.roots}
-
-    @cached_property
-    def cartans(self) -> tuple[np.ndarray, ...]:
-        """Dense Cartan matrices h_1, ..., h_{n-1}."""
-        return tuple(self.cartan(k).dense() for k in range(1, self.basis.n))
+        """h_k = C_kk - C_{k+1,k+1} as a diagonal `Monomial`; ValueError unless 1 <= k <= n-1."""
+        if not 1 <= k <= self.basis.n - 1:
+            raise ValueError(f"Cartan index must lie in 1..{self.basis.n - 1}, got {k}")
+        occ = self.basis.occupations
+        return Monomial(np.arange(len(occ)), (occ[:, k - 1] - occ[:, k]).astype(complex))
 
 
 def _generator_set(basis: OrderedBasis, coefficient: Callable) -> GeneratorSet:

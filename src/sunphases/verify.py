@@ -195,7 +195,7 @@ def suite_gamma() -> list[Check]:
         j = two_j / 2.0
         g = coherent.gamma_su2(j)
         # K is diagonal, so its commutator with A has entries (k_i - k_j) A_ij
-        k = coherent._intertwiner_diagonal(j)
+        k = coherent.intertwiner_diagonal(j)
         occ = g.basis.occupations
         h = Monomial(np.arange(two_j + 1), (occ[:, 0] - occ[:, 1]) / 2)
         raising, lowering = g.ladder(1, 2), g.ladder(2, 1)

@@ -43,7 +43,7 @@ def test_criterion_01_commutation_suite():
     defects = []
     for two_j in range(0, 31):
         m = su2_matrices(two_j / 2.0)
-        h, e_plus, e_minus = m.cartans[0] / 2, m.ladders[1, 2], m.ladders[2, 1]
+        h, e_plus, e_minus = m.cartan(1).dense() / 2, m.ladder(1, 2).dense(), m.ladder(2, 1).dense()
         defects += [
             np.max(np.abs(h @ e_plus - e_plus @ h - e_plus)),
             np.max(np.abs(h @ e_minus - e_minus @ h + e_minus)),
@@ -167,8 +167,8 @@ def test_criterion_05_hermitization_suite():
     defects = []
     for two_j in range(0, 31):
         g = coherent.gamma_su2(two_j / 2.0)
-        h, e_plus, e_minus = g.cartans[0] / 2, g.ladders[1, 2], g.ladders[2, 1]
-        k = coherent.intertwiner(two_j / 2.0)
+        h, e_plus, e_minus = g.cartan(1).dense() / 2, g.ladder(1, 2).dense(), g.ladder(2, 1).dense()
+        k = np.diag(coherent.intertwiner_diagonal(two_j / 2.0).astype(complex))
         for other in (h, e_plus @ e_minus, e_minus @ e_plus):
             scale = max(1.0, float(np.max(np.abs(k)) * max(1.0, np.max(np.abs(other)))))
             defects.append(float(np.max(np.abs(k @ other - other @ k))) / scale)
@@ -248,7 +248,7 @@ def test_criterion_09_su3_coherent_representation():
     )
     # root assignment check: each ladder shifts weights by its root
     g = coherent.gamma_su3(2)
-    c12 = g.ladders[(1, 2)]
+    c12 = g.ladder(1, 2).dense()
     shifts_ok = True
     for col, state in enumerate(g.basis.states):
         for row in np.nonzero(np.abs(c12[:, col]) > 0)[0]:

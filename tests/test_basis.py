@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sunphases import basis as bs
 
 
@@ -21,18 +22,6 @@ def fill_states(n, lam):
 
     fill([], lam, n)
     return tuple(states)
-
-
-def grouped_strings(b, root):
-    """Oracle: the su(2) strings by grouping states on their frozen occupations in
-    a dict, members by increasing n_i and strings by first index."""
-    i, j = root
-    groups = {}
-    for idx, state in enumerate(b.states):
-        key = tuple(v for k, v in enumerate(state) if k not in (i - 1, j - 1))
-        groups.setdefault(key, []).append(idx)
-    orbits = [tuple(sorted(m, key=lambda idx: b.states[idx][i - 1])) for m in groups.values()]
-    return tuple(sorted(orbits, key=lambda orbit: orbit[0]))
 
 
 #: Largest lambda drawn per n, keeping d at or below 462.
@@ -71,8 +60,8 @@ def test_dimension_closed_form(n, lam):
         assert len(b) == (lam + 1) * (lam + 2) // 2
     # canonical order is strictly lexicographically decreasing
     assert list(b.states) == sorted(b.states, reverse=True)
-    # index map is a bijection
-    assert sorted(b.index(s) for s in b.states) == list(range(len(b)))
+    # no state repeats
+    assert len(set(b.states)) == len(b)
 
 
 @pytest.mark.parametrize("bad", [(1, 1), (0, 3), (3, -1)])
@@ -112,20 +101,20 @@ def test_embedding_undefined_off_su3():
 def test_strings_su3_fundamental():
     b = bs.enumerate_basis(3, 1)
     part = bs.su2_strings(b, (1, 2))
-    named = [tuple(b.states[k] for k in orbit) for orbit in part.orbits]
+    named = [tuple(b.states[k] for k in string) for string in oracles.strings_of(part)]
     assert named == [((0, 1, 0), (1, 0, 0)), ((0, 0, 1),)]
 
 
 def test_strings_su3_lambda2_lengths():
     b = bs.enumerate_basis(3, 2)
     part = bs.su2_strings(b, (1, 2))
-    assert sorted(len(o) for o in part.orbits) == [1, 2, 3]
+    assert sorted(np.diff(part.bounds).tolist()) == [1, 2, 3]
 
 
 def test_strings_su4_fundamental_root31():
     b = bs.enumerate_basis(4, 1)
     part = bs.su2_strings(b, (3, 1))
-    named = [tuple(b.states[k] for k in orbit) for orbit in part.orbits]
+    named = [tuple(b.states[k] for k in string) for string in oracles.strings_of(part)]
     assert ((1, 0, 0, 0), (0, 0, 1, 0)) in named
     assert ((0, 1, 0, 0),) in named
     assert ((0, 0, 0, 1),) in named
@@ -140,7 +129,6 @@ def test_array_basis_matches_the_recursive_oracle(case):
     assert b.occupations.shape == (len(want), n)
     assert b.occupations.dtype == np.int64
     assert b.states == want
-    assert [b.index(s) for s in want] == list(range(len(want)))
 
 
 @settings(deadline=None, max_examples=150)
@@ -149,13 +137,10 @@ def test_strings_and_kernel_match_the_grouping_oracle(case):
     n, lam, root = case
     b = bs.enumerate_basis(n, lam)
     part = bs.su2_strings(b, root)
-    assert part.orbits == grouped_strings(b, root)
     # the grouped order holds every string contiguously, each by increasing n_i
+    assert oracles.strings_of(part) == oracles.strings(b, root)
     assert sorted(part.order.tolist()) == list(range(len(b)))
-    assert sorted(
-        tuple(part.order[lo:hi].tolist()) for lo, hi in zip(part.bounds, part.bounds[1:])
-    ) == sorted(part.orbits)
-    assert bs.kernel_states(b, root) == [k for k, s in enumerate(b.states) if s[root[1] - 1] == 0]
+    assert np.flatnonzero(bs._kernel_mask(b, root)).tolist() == oracles.kernel_states(b, root)
 
 
 @settings(deadline=None, max_examples=150)
@@ -164,13 +149,14 @@ def test_image_moves_one_boson_and_wraps_the_top(case):
     # oracle: C_ij's target where n_j > 0, else the string's bottom (n_i = 0)
     n, lam, (i, j) = case
     b = bs.enumerate_basis(n, lam)
+    index = oracles.positions(b)
     want = []
     for state in b.states:
         target = list(state)
         moved = 1 if state[j - 1] else -state[i - 1]
         target[i - 1] += moved
         target[j - 1] -= moved
-        want.append(b.index(tuple(target)))
+        want.append(index[tuple(target)])
     assert bs.su2_strings(b, (i, j)).image.tolist() == want
 
 
@@ -184,31 +170,21 @@ def test_edge_overlap_matches_the_set_oracle(case, data):
         )
     )
     b = bs.enumerate_basis(n, lam)
-    a, c = set(bs.kernel_states(b, root_a)), set(bs.kernel_states(b, root_b))
+    a, c = set(oracles.kernel_states(b, root_a)), set(oracles.kernel_states(b, root_b))
     assert bs.edge_overlap_count(b, root_a, root_b) == (len(a), len(c), len(a & c), len(a | c))
-
-
-def brute_force_strings(b, root):
-    """Oracle: group states by the frozen occupations, independent of su2_strings."""
-    i, j = root
-    groups = {}
-    for idx, state in enumerate(b.states):
-        key = tuple(v for k, v in enumerate(state) if k not in (i - 1, j - 1))
-        groups.setdefault(key, set()).add(idx)
-    return {frozenset(v) for v in groups.values()}
 
 
 @pytest.mark.parametrize("n,lam,root", [(3, 3, (1, 2)), (3, 4, (3, 1)), (4, 2, (2, 4))])
 def test_strings_partition_invariants(n, lam, root):
     b = bs.enumerate_basis(n, lam)
-    part = bs.su2_strings(b, root)
-    seen = [k for orbit in part.orbits for k in orbit]
+    found = oracles.strings_of(bs.su2_strings(b, root))
+    seen = [k for string in found for k in string]
     assert sorted(seen) == list(range(len(b)))  # disjoint and exhaustive
-    assert {frozenset(o) for o in part.orbits} == brute_force_strings(b, root)
+    assert found == oracles.strings(b, root)
     i, j = root
-    for orbit in part.orbits:
-        states = [b.states[k] for k in orbit]
-        assert len(orbit) == states[0][i - 1] + states[0][j - 1] + 1
+    for string in found:
+        states = [b.states[k] for k in string]
+        assert len(string) == states[0][i - 1] + states[0][j - 1] + 1
         ni = [s[i - 1] for s in states]
         assert ni == sorted(ni) and len(set(ni)) == len(ni)
 
@@ -216,9 +192,8 @@ def test_strings_partition_invariants(n, lam, root):
 @pytest.mark.parametrize("lam", range(6))
 def test_kernel_counts_su3(lam):
     b = bs.enumerate_basis(3, lam)
-    assert len(bs.kernel_states(b, (1, 2))) == lam + 1
-    assert len(bs.kernel_states(b, (3, 1))) == lam + 1
-    assert bs.kernel_states(b, (1, 2)) == [
+    assert bs.edge_overlap_count(b, (1, 2), (3, 1))[:2] == (lam + 1, lam + 1)
+    assert np.flatnonzero(bs._kernel_mask(b, (1, 2))).tolist() == [
         k for k, s in enumerate(b.states) if s[1] == 0
     ]
 
@@ -226,14 +201,13 @@ def test_kernel_counts_su3(lam):
 @pytest.mark.parametrize("lam", range(5))
 def test_kernel_counts_su4(lam):
     b = bs.enumerate_basis(4, lam)
-    assert len(bs.kernel_states(b, (1, 2))) == (lam + 1) * (lam + 2) // 2
+    assert np.count_nonzero(bs._kernel_mask(b, (1, 2))) == (lam + 1) * (lam + 2) // 2
 
 
 def test_kernel_intersection_su3_lambda2():
     b = bs.enumerate_basis(3, 2)
-    a = set(bs.kernel_states(b, (1, 2)))
-    c = set(bs.kernel_states(b, (3, 1)))
-    assert a & c == {b.index((0, 0, 2))}
+    both = bs._kernel_mask(b, (1, 2)) & bs._kernel_mask(b, (3, 1))
+    assert np.flatnonzero(both).tolist() == [oracles.positions(b)[(0, 0, 2)]]
 
 
 def test_edge_overlap_counts():

@@ -369,7 +369,7 @@ class TestOut:
             (cli.bs, "enumerate_basis"),
             (cli.phases, "sweep"),
             (cli.pauli, "pauli_generators"),
-            (cli.coherent, "_intertwiner_diagonal"),
+            (cli.coherent, "intertwiner_diagonal"),
             (cli.verify, "run_suite"),
         ]:
             monkeypatch.setattr(module, name, computed)

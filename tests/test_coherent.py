@@ -4,35 +4,36 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sunphases import basis as bs
 from sunphases import coherent, phases, verify
 from sunphases.basis import weight_of
-from sunphases.coherent import _occupation_coefficient
-from sunphases.generators import _shift, build_generators, su2_matrices
+from sunphases.generators import Monomial, build_generators, su2_matrices
 
 
-def _coherent_ladder(basis, i, j):
-    """Oracle: C_ij with the bare occupation n_j as coefficient, scattered."""
-    return _shift(basis, i, j, _occupation_coefficient).dense()
+def dense_intertwiner(j):
+    """The complex diagonal matrix K of `coherent.intertwiner_diagonal`."""
+    return np.diag(coherent.intertwiner_diagonal(j).astype(complex))
 
 
 def dense_hermitize_check(j):
     """Oracle: K^-1 Gamma K by two dense products with the diagonal K."""
     gamma = coherent.gamma_su2(j)
     std = su2_matrices(j)
-    kmat = coherent.intertwiner(j)
+    kmat = dense_intertwiner(j)
     kinv = np.diag(1.0 / np.diag(kmat))
-    lowered = kinv @ gamma.ladders[2, 1] @ kmat
-    raised = kinv @ gamma.ladders[1, 2] @ kmat
+    lowered = kinv @ gamma.ladder(2, 1).dense() @ kmat
+    raised = kinv @ gamma.ladder(1, 2).dense() @ kmat
+    lowering = std.ladder(2, 1).dense()
     return max(
-        float(np.max(np.abs(lowered - std.ladders[2, 1]))),
-        float(np.max(np.abs(raised - std.ladders[2, 1].conj().T))),
+        float(np.max(np.abs(lowered - lowering))),
+        float(np.max(np.abs(raised - lowering.conj().T))),
     )
 
 
 def loop_recursion_check(j):
     """Oracle: the recursion one entry at a time on the unscaled S = K^2."""
-    s = np.real(np.diag(coherent.intertwiner(j))) ** 2
+    s = coherent.intertwiner_diagonal(j) ** 2
     worst = 0.0
     for p in range(1, len(s)):
         m = j - p
@@ -42,7 +43,7 @@ def loop_recursion_check(j):
 
 def product_phase_part(gamma):
     """Oracle: column weights from the diagonal of Gamma(e_-)^dag Gamma(e_-)."""
-    e_minus = gamma.ladders[2, 1]
+    e_minus = gamma.ladder(2, 1).dense()
     dim = e_minus.shape[0]
     weights = np.sqrt(np.real(np.diag(e_minus.conj().T @ e_minus)))
     mat = np.zeros((dim, dim), dtype=complex)
@@ -61,8 +62,8 @@ def dense_commutant_residual(two_j_max=30):
     for two_j in range(0, two_j_max + 1):
         j = two_j / 2.0
         g = coherent.gamma_su2(j)
-        h, e_plus, e_minus = g.cartans[0] / 2, g.ladders[1, 2], g.ladders[2, 1]
-        k = coherent._intertwiner_diagonal(j)
+        h, e_plus, e_minus = g.cartan(1).dense() / 2, g.ladder(1, 2).dense(), g.ladder(2, 1).dense()
+        k = coherent.intertwiner_diagonal(j)
         for other in (h, e_minus @ e_plus, e_plus @ e_minus):
             scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other)))))
             worst = max(worst, float(np.max(np.abs((k[:, None] - k) * other))) / scale)
@@ -76,18 +77,11 @@ class TestAgainstTheDenseOracles:
         assert got.view(np.uint64) == want.view(np.uint64)
 
     def test_gamma_suite_builds_no_dense_view(self, monkeypatch):
-        built = []
-        for name in ("gamma_su2", "su2_matrices"):
+        def refuse(self, start=0, stop=None):
+            raise AssertionError("suite_gamma scattered a dense matrix")
 
-            def spy(j, build=getattr(coherent, name)):
-                built.append(build(j))
-                return built[-1]
-
-            monkeypatch.setattr(coherent, name, spy)
+        monkeypatch.setattr(Monomial, "dense", refuse)
         assert all(check.passed for check in verify.suite_gamma())
-        assert len(built) > 31
-        for spin in built:
-            assert not {"ladders", "cartans"} & set(spin.__dict__)
 
     def test_hermitize_check_is_bit_identical(self):
         for two_j in range(0, 201):
@@ -132,21 +126,22 @@ class TestGammaSu2:
         # basis order m = 1, 0, -1
         vec = np.zeros(3)
         vec[1] = 1.0  # |1,0>
-        assert np.array_equal(np.real(g.ladders[1, 2] @ vec), [1, 0, 0])
+        e_plus = g.ladder(1, 2).dense()
+        assert np.array_equal(np.real(e_plus @ vec), [1, 0, 0])
         top = np.zeros(3)
         top[0] = 1.0
-        assert np.all(g.ladders[1, 2] @ top == 0)
+        assert np.all(e_plus @ top == 0)
 
     def test_spin_one_commutator(self):
         g = coherent.gamma_su2(1)
-        e_plus, e_minus = g.ladders[1, 2], g.ladders[2, 1]
+        e_plus, e_minus = g.ladder(1, 2).dense(), g.ladder(2, 1).dense()
         comm = e_plus @ e_minus - e_minus @ e_plus
         assert np.array_equal(np.real(comm), 2 * np.diag([1, 0, -1]))
 
     @pytest.mark.parametrize("two_j", range(0, 31))
     def test_integer_commutation_relations(self, two_j):
         g = coherent.gamma_su2(two_j / 2.0)
-        h, e_plus, e_minus = g.cartans[0] / 2, g.ladders[1, 2], g.ladders[2, 1]
+        h, e_plus, e_minus = g.cartan(1).dense() / 2, g.ladder(1, 2).dense(), g.ladder(2, 1).dense()
         assert np.array_equal(
             e_plus @ e_minus - e_minus @ e_plus, 2 * h
         )
@@ -185,46 +180,44 @@ class TestWitness:
 
 class TestIntertwiner:
     def test_spin_one(self):
-        k = np.real(np.diag(coherent.intertwiner(1)))
-        assert np.allclose(k, [1, math.sqrt(2), 1])
+        assert np.allclose(coherent.intertwiner_diagonal(1), [1, math.sqrt(2), 1])
 
     def test_half_spin(self):
-        assert np.allclose(np.real(np.diag(coherent.intertwiner(0.5))), [1, 1])
+        assert np.allclose(coherent.intertwiner_diagonal(0.5), [1, 1])
 
     def test_spin_two_middle_entry(self):
-        k = np.real(np.diag(coherent.intertwiner(2)))
-        assert k[2] == pytest.approx(math.sqrt(6))
+        assert coherent.intertwiner_diagonal(2)[2] == pytest.approx(math.sqrt(6))
 
     def test_symmetric_under_reflection(self):
-        k = np.real(np.diag(coherent.intertwiner(7.5)))
+        k = coherent.intertwiner_diagonal(7.5)
         assert np.allclose(k, k[::-1])
 
     def test_large_spin_no_overflow(self):
-        k = np.real(np.diag(coherent.intertwiner(50)))
+        k = coherent.intertwiner_diagonal(50)
         assert np.all(np.isfinite(k))
         # spot check against the exact binomial
         assert k[50] == pytest.approx(math.sqrt(math.comb(100, 50)), rel=1e-10)
 
     def test_largest_finite_spin(self):
         # 2j = 2053 is the last spin whose middle entry fits a float; 2054 overflows
-        k = coherent._intertwiner_diagonal(2053 / 2)
+        k = coherent.intertwiner_diagonal(2053 / 2)
         assert k.shape == (2054,) and np.all(np.isfinite(k))
         with pytest.raises(OverflowError):
             math.exp(0.5 * (math.lgamma(2055) - 2 * math.lgamma(1028)))
         with pytest.raises(ValueError, match="overflows"):
-            coherent._intertwiner_diagonal(1027)
+            coherent.intertwiner_diagonal(1027)
 
     @pytest.mark.parametrize("two_j", range(61))
     def test_moderate_spins_are_the_rounded_binomial_roots_bit_for_bit(self, two_j):
         want = np.sqrt([float(math.comb(two_j, p)) for p in range(two_j + 1)])
-        got = coherent._intertwiner_diagonal(two_j / 2)
+        got = coherent.intertwiner_diagonal(two_j / 2)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("two_j", [61, 62, 200, 1001, 2052, 2053])
     def test_every_entry_is_within_one_ulp_of_the_exact_root(self, two_j):
         # a 50-digit reference: far finer than the half ulp a float carries
         context = decimal.Context(prec=50)
-        got = coherent._intertwiner_diagonal(two_j / 2)
+        got = coherent.intertwiner_diagonal(two_j / 2)
         for p in range(two_j + 1):
             exact = context.sqrt(decimal.Decimal(math.comb(two_j, p)))
             error = abs(decimal.Decimal(got[p]) - exact)
@@ -238,8 +231,8 @@ class TestHermitization:
 
     def test_spin_one_lowering_entry(self):
         g = coherent.gamma_su2(1)
-        k = coherent.intertwiner(1)
-        conjugated = np.diag(1 / np.diag(k)) @ g.ladders[2, 1] @ k
+        k = dense_intertwiner(1)
+        conjugated = np.diag(1 / np.diag(k)) @ g.ladder(2, 1).dense() @ k
         # |1,1> (index 0) goes to sqrt(2) |1,0>
         assert conjugated[1, 0] == pytest.approx(math.sqrt(2))
 
@@ -252,8 +245,10 @@ class TestHermitization:
             j = two_j / 2.0
             g = coherent.gamma_su2(j)
             std = su2_matrices(j)
-            a = np.sort(np.linalg.eigvals(g.ladders[1, 2] @ g.ladders[2, 1]).real)
-            b = np.sort(np.linalg.eigvals(std.ladders[1, 2] @ std.ladders[2, 1]).real)
+            a, b = (
+                np.sort(np.linalg.eigvals(s.ladder(1, 2).dense() @ s.ladder(2, 1).dense()).real)
+                for s in (g, std)
+            )
             assert np.allclose(a, b, atol=1e-9)
 
 
@@ -272,14 +267,14 @@ class TestPhasePart:
 class TestGammaSu3:
     def test_h1_fundamental(self):
         g = coherent.gamma_su3(1)
-        assert np.array_equal(np.real(np.diag(g.cartans[0])), [1, -1, 0])
+        assert np.array_equal(np.real(np.diag(g.cartan(1).dense())), [1, -1, 0])
 
     def test_displayed_coefficients_match_occupations(self):
         # the differential-operator coefficients reduce to mode occupations
         for lam in range(1, 5):
             g = coherent.gamma_su3(lam)
             for root, mode in [((1, 2), 2), ((2, 3), 3)]:
-                mat = g.ladders[root]
+                mat = g.ladder(*root).dense()
                 for col, state in enumerate(g.basis.states):
                     coeff = coherent.displayed_coefficient(
                         lam, root, weight_of(state)
@@ -295,15 +290,16 @@ class TestGammaSu3:
 
     def test_commutator_closure_gives_long_root(self):
         g = coherent.gamma_su3(3)
-        c13 = g.ladders[(1, 2)] @ g.ladders[(2, 3)] - g.ladders[(2, 3)] @ g.ladders[(1, 2)]
-        assert np.array_equal(c13, g.ladders[(1, 3)])
+        c12, c23 = g.ladder(1, 2).dense(), g.ladder(2, 3).dense()
+        assert np.array_equal(c12 @ c23 - c23 @ c12, g.ladder(1, 3).dense())
 
     @pytest.mark.parametrize("lam", range(0, 7))
     def test_every_ladder_is_the_coherent_ladder(self, lam):
         g = coherent.gamma_su3(lam)
-        assert sorted(g.ladders) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
-        for (i, j), mat in g.ladders.items():
-            assert np.array_equal(mat, _coherent_ladder(g.basis, i, j))
+        assert sorted(g.roots) == [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        for i, j in g.roots:
+            want = oracles.weight_shift(g.basis, i, j, oracles.occupation)
+            assert np.array_equal(g.ladder(i, j).dense(), want)
 
     @pytest.mark.parametrize("lam", range(0, 5))
     def test_commutation_relations(self, lam):
@@ -312,7 +308,8 @@ class TestGammaSu3:
 
     def test_ladders_shift_by_roots(self):
         g = coherent.gamma_su3(2)
-        for (i, j), mat in g.ladders.items():
+        for i, j in g.roots:
+            mat = g.ladder(i, j).dense()
             shift = np.array(weight_of(tuple(
                 (1 if k == i - 1 else 0) - (1 if k == j - 1 else 0) + 1
                 for k in range(3)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sunphases import basis as bs
 from sunphases import coherent, generators, phases
 from sunphases.cli import main
@@ -18,10 +19,8 @@ from sunphases.generators import (
     _generator_set,
     _shift,
     build_generators,
-    cartan_matrix,
     commutation_residual,
     generator_matrix,
-    number_matrix,
     su2_matrices,
 )
 
@@ -32,26 +31,7 @@ def _coherent_ladder(basis, i, j):
 
 
 #: The two ladder builders and the coefficient each scatters: Hermitian and coherent-state.
-BUILDERS = (
-    (generator_matrix, lambda ni, nj: math.sqrt(nj * (ni + 1))),
-    (_coherent_ladder, lambda ni, nj: nj),
-)
-
-
-def loop_weight_shift(basis, i, j, coefficient):
-    """Oracle: one state at a time, each target looked up in the index map."""
-    bs.check_root(basis.n, (i, j))
-    d = len(basis)
-    mat = np.zeros((d, d), dtype=complex)
-    for col, state in enumerate(basis.states):
-        nj = state[j - 1]
-        if nj == 0:
-            continue
-        target = list(state)
-        target[i - 1] += 1
-        target[j - 1] -= 1
-        mat[basis.index(tuple(target)), col] = coefficient(state[i - 1], nj)
-    return mat
+BUILDERS = ((generator_matrix, oracles.boson), (_coherent_ladder, oracles.occupation))
 
 
 #: Largest lambda drawn per n for the oracle comparison (d at most 84).
@@ -69,7 +49,7 @@ def test_weight_shift_is_bit_identical_to_the_loop(irrep):
                 continue
             for builder, coefficient in BUILDERS:
                 got = builder(b, i, j)
-                want = loop_weight_shift(b, i, j, coefficient)
+                want = oracles.weight_shift(b, i, j, coefficient)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -80,15 +60,14 @@ def test_zero_columns_are_the_kernel_states(n, lam):
         for j in range(1, n + 1):
             if i != j:
                 zero = np.flatnonzero(~generator_matrix(b, i, j).any(axis=0)).tolist()
-                assert zero == bs.kernel_states(b, (i, j))
+                assert zero == oracles.kernel_states(b, (i, j))
 
 
 def test_diagonals_read_the_occupation_columns():
-    b = bs.enumerate_basis(4, 3)
-    for i in range(1, 5):
-        assert np.array_equal(np.diag(number_matrix(b, i)), [s[i - 1] for s in b.states])
+    gens = build_generators(bs.enumerate_basis(4, 3))
     for k in range(1, 4):
-        assert np.array_equal(np.diag(cartan_matrix(b, k)), [s[k - 1] - s[k] for s in b.states])
+        want = oracles.cartan_matrix(gens.basis, k)
+        assert np.array_equal(gens.cartan(k).dense().view(np.uint64), want.view(np.uint64))
 
 
 def test_c12_fundamental():
@@ -102,8 +81,8 @@ def test_c12_fundamental():
 def test_boson_matrix_element_sqrt2():
     b = bs.enumerate_basis(3, 2)
     c12 = generator_matrix(b, 1, 2)
-    col = b.index((1, 1, 0))
-    row = b.index((2, 0, 0))
+    index = oracles.positions(b)
+    col, row = index[(1, 1, 0)], index[(2, 0, 0)]
     assert c12[row, col] == pytest.approx(np.sqrt(2.0))
 
 
@@ -121,18 +100,18 @@ def test_rejects_diagonal_label():
 
 
 def test_cartans_fundamental():
-    b = bs.enumerate_basis(3, 1)
-    assert np.array_equal(np.diag(cartan_matrix(b, 1)), [1, -1, 0])
-    assert np.array_equal(np.diag(cartan_matrix(b, 2)), [0, 1, -1])
+    gens = build_generators(bs.enumerate_basis(3, 1))
+    assert np.array_equal(np.diag(gens.cartan(1).dense()), [1, -1, 0])
+    assert np.array_equal(np.diag(gens.cartan(2).dense()), [0, 1, -1])
     with pytest.raises(ValueError):
-        cartan_matrix(b, 3)
+        gens.cartan(3)
 
 
 @pytest.mark.parametrize("lam", range(5))
 def test_cartans_traceless(lam):
-    b = bs.enumerate_basis(3, lam)
+    gens = build_generators(bs.enumerate_basis(3, lam))
     for k in (1, 2):
-        assert np.trace(cartan_matrix(b, k)) == 0
+        assert np.trace(gens.cartan(k).dense()) == 0
 
 
 @pytest.mark.parametrize("n,lam", [(3, lam) for lam in range(7)] + [(4, lam) for lam in range(5)])
@@ -145,17 +124,16 @@ def dense_commutation_residual(gens):
     """Oracle: the relations of `commutation_residual` checked with dense products."""
     basis = gens.basis
     n = basis.n
-    occupations = {i: number_matrix(basis, i) for i in range(1, n + 1)}
+    ladders = {root: gens.ladder(*root).dense() for root in gens.roots}
+    cartans = [gens.cartan(k).dense() for k in range(1, n)]
+    occupations = {i: oracles.number_matrix(basis, i) for i in range(1, n + 1)}
 
     def op(i, j):
-        return gens.ladders[(i, j)] if i != j else occupations[i]
+        return ladders[(i, j)] if i != j else occupations[i]
 
     residual = 0.0
-    pairs = list(gens.ladders)
-    for (i, j) in pairs:
-        a = gens.ladders[(i, j)]
-        for (k, l) in pairs:
-            b = gens.ladders[(k, l)]
+    for (i, j), a in ladders.items():
+        for (k, l), b in ladders.items():
             expected = 0.0
             if j == k:
                 expected = op(i, l)
@@ -166,14 +144,10 @@ def dense_commutation_residual(gens):
         # C_ij raises n_i and lowers n_j, shifting weight component k by e_k - e_{k+1}
         moved = [(m == i) - (m == j) for m in range(1, n + 1)]
         shift = [moved[k] - moved[k + 1] for k in range(n - 1)]
-        for k, h in enumerate(gens.cartans):
+        for k, h in enumerate(cartans):
             defect = h @ a - a @ h - shift[k] * a
             residual = max(residual, float(np.max(np.abs(defect))))
     return residual
-
-
-def same_bits(x, y):
-    return np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
 
 
 #: The Hermitian and the coherent-state (bare occupation) generator sets.
@@ -199,7 +173,7 @@ def test_residual_is_bit_identical_to_dense_products(irrep, realization, block):
     gens = realization(bs.enumerate_basis(*irrep))
     with mock.patch.object(generators, "_PAIR_BLOCK", block):
         got = commutation_residual(gens)
-    assert same_bits(got, dense_commutation_residual(gens))
+    assert oracles.same_bits(got, dense_commutation_residual(gens))
     assert got < 1e-12
 
 
@@ -231,7 +205,7 @@ def test_a_corrupted_set_fails_exactly_as_dense_products_do(
     broken = dataclasses.replace(gens, images=images, coefficients=coefficients)
     with mock.patch.object(generators, "_PAIR_BLOCK", block):
         got = commutation_residual(broken)
-    assert same_bits(got, dense_commutation_residual(broken))
+    assert oracles.same_bits(got, dense_commutation_residual(broken))
     assert got > 1e-12
 
 
@@ -246,25 +220,21 @@ def test_a_nan_coefficient_reads_nan_in_every_block(block, p):
         assert math.isnan(commutation_residual(broken))
 
 
+def refuse_scatter(self, start=0, stop=None):
+    raise AssertionError("a dense matrix was scattered")
+
+
 @pytest.mark.parametrize("n,lam", [(2, 5), (3, 4), (4, 3), (5, 2)])
-def test_the_check_scatters_no_dense_matrix(n, lam):
+def test_the_check_scatters_no_dense_matrix(n, lam, monkeypatch):
     gens = build_generators(bs.enumerate_basis(n, lam))
-    commutation_residual(gens)
-    assert "ladders" not in gens.__dict__ and "cartans" not in gens.__dict__
+    monkeypatch.setattr(Monomial, "dense", refuse_scatter)
+    assert commutation_residual(gens) < 1e-12
 
 
 def test_gamma_lambda_scatters_no_dense_matrix(monkeypatch):
-    gamma_su3, built = coherent.gamma_su3, []
-
-    def spy(lam):
-        built.append(gamma_su3(lam))
-        return built[-1]
-
-    monkeypatch.setattr(coherent, "gamma_su3", spy)
+    monkeypatch.setattr(Monomial, "dense", refuse_scatter)
     result = CliRunner().invoke(main, ["gamma", "--lambda", "4"])
     assert result.exit_code == 0, result.output
-    [gens] = built
-    assert "ladders" not in gens.__dict__ and "cartans" not in gens.__dict__
 
 
 def test_gamma_j_builds_no_dense_matrix(monkeypatch):
@@ -277,15 +247,10 @@ def test_gamma_j_builds_no_dense_matrix(monkeypatch):
 
         monkeypatch.setattr(coherent, name, spy)
 
-    def scatter(self):
-        raise AssertionError("gamma --j scattered a dense matrix")
-
-    monkeypatch.setattr(Monomial, "dense", scatter)
+    monkeypatch.setattr(Monomial, "dense", refuse_scatter)
     result = CliRunner().invoke(main, ["gamma", "--j", "7.5"])
     assert result.exit_code == 0, result.output
     assert len(built) == 3  # gamma_su2 for the payload and the check, su2_matrices for the check
-    for spin in built:
-        assert not {"ladders", "cartans"} & set(spin.__dict__)
 
 
 @pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 5), (5, 3), (6, 2)])
@@ -333,8 +298,8 @@ def monomial_pairs(draw):
 def test_max_abs_difference_is_the_dense_one_bit_for_bit(pair):
     a, b = pair
     want = np.max(np.abs(a.dense() - b.dense()))
-    assert same_bits(a.max_abs_difference(b), want)
-    assert same_bits(b.max_abs_difference(a), want)
+    assert oracles.same_bits(a.max_abs_difference(b), want)
+    assert oracles.same_bits(b.max_abs_difference(a), want)
 
 
 @settings(deadline=None, max_examples=100)
@@ -363,27 +328,28 @@ def test_max_abs_difference_needs_equal_shapes():
 @pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 3), (5, 2)])
 def test_scattered_ladders_are_the_builders_bit_for_bit(n, lam):
     b = bs.enumerate_basis(n, lam)
-    for realization, builder in zip(REALIZATIONS, (generator_matrix, _coherent_ladder)):
+    for realization, (builder, _) in zip(REALIZATIONS, BUILDERS):
         gens = realization(b)
-        assert list(gens.ladders) == list(gens.roots)
-        for (i, j), mat in gens.ladders.items():
-            want = builder(b, i, j)
-            assert np.array_equal(mat.view(np.uint64), want.view(np.uint64))
-        for k, h in enumerate(gens.cartans, start=1):
-            assert np.array_equal(h.view(np.uint64), cartan_matrix(b, k).view(np.uint64))
+        for i, j in gens.roots:
+            got, want = gens.ladder(i, j).dense(), builder(b, i, j)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for k in range(1, n):
+            want = oracles.cartan_matrix(b, k)
+            assert np.array_equal(gens.cartan(k).dense().view(np.uint64), want.view(np.uint64))
 
 
 def test_hermitian_pairing_exact():
     gens = build_generators(bs.enumerate_basis(3, 4))
-    for (i, j), mat in gens.ladders.items():
-        assert np.array_equal(mat, gens.ladders[(j, i)].conj().T)
+    for i, j in gens.roots:
+        assert np.array_equal(gens.ladder(i, j).dense(), gens.ladder(j, i).dense().conj().T)
 
 
 @pytest.mark.parametrize("n,lam", [(3, 3), (4, 2)])
 def test_cartan_diagonal_matches_weights(n, lam):
-    b = bs.enumerate_basis(n, lam)
+    gens = build_generators(bs.enumerate_basis(n, lam))
+    b = gens.basis
     for k in range(1, n):
-        diag = np.real(np.diag(cartan_matrix(b, k)))
+        diag = np.real(np.diag(gens.cartan(k).dense()))
         weights = [bs.weight_of(s)[k - 1] for s in b.states]
         assert np.array_equal(diag, weights)
 
@@ -393,18 +359,19 @@ def test_su2_ladder_action():
     # basis order m = 1, 0, -1; e_+ |1,0> = sqrt(2) |1,1>
     vec = np.zeros(3)
     vec[1] = 1.0
-    out = m.ladders[1, 2] @ vec
+    e_plus = m.ladder(1, 2).dense()
+    out = e_plus @ vec
     assert out[0] == pytest.approx(np.sqrt(2.0))
     # highest weight annihilated
     top = np.zeros(3)
     top[0] = 1.0
-    assert np.all(m.ladders[1, 2] @ top == 0)
+    assert np.all(e_plus @ top == 0)
 
 
 @pytest.mark.parametrize("two_j", range(0, 31))
 def test_su2_commutators(two_j):
     m = su2_matrices(two_j / 2.0)
-    h, e_plus, e_minus = m.cartans[0] / 2, m.ladders[1, 2], m.ladders[2, 1]
+    h, e_plus, e_minus = m.cartan(1).dense() / 2, m.ladder(1, 2).dense(), m.ladder(2, 1).dense()
     comm = e_plus @ e_minus - e_minus @ e_plus
     assert np.max(np.abs(comm - 2 * h)) < 1e-13
     assert np.max(np.abs(h @ e_plus - e_plus @ h - e_plus)) < 1e-13
@@ -438,12 +405,12 @@ def test_schwinger_consistency(lam):
     m = su2_matrices(lam / 2.0)
     # lex-decreasing occupation order has 2m = n1 - n2 descending, matching
     # the m = j..-j ordering of su2_matrices
-    assert np.allclose(generator_matrix(b, 1, 2), m.ladders[1, 2], atol=1e-13)
-    assert np.allclose(generator_matrix(b, 2, 1), m.ladders[2, 1], atol=1e-13)
+    assert np.allclose(generator_matrix(b, 1, 2), m.ladder(1, 2).dense(), atol=1e-13)
+    assert np.allclose(generator_matrix(b, 2, 1), m.ladder(2, 1).dense(), atol=1e-13)
     half_diff = 0.5 * (
         np.diag([s[0] for s in b.states]) - np.diag([s[1] for s in b.states])
     )
-    assert np.allclose(m.cartans[0] / 2, half_diff, atol=1e-13)
+    assert np.allclose(m.cartan(1).dense() / 2, half_diff, atol=1e-13)
 
 
 def spin_shifts(j, coefficient):

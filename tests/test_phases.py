@@ -9,9 +9,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from sunphases import basis as bs
 from sunphases import generators, pauli, phases
-from sunphases.generators import cartan_matrix, generator_matrix
+from sunphases.generators import generator_matrix
 from sunphases.phases import Monomial
 
 E12_SIGNED = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -27,6 +28,7 @@ def permutation_of(basis, root, convention="plus"):
     """
     i, j = root
     wrap = 1 if convention == "plus" else -1
+    index = oracles.positions(basis)
     perm = {}
     sign = {}
     for idx, state in enumerate(basis.states):
@@ -35,7 +37,7 @@ def permutation_of(basis, root, convention="plus"):
             image[i - 1], image[j - 1] = state[i - 1] + 1, state[j - 1] - 1
         else:
             image[i - 1], image[j - 1] = 0, state[i - 1]
-        perm[idx] = basis.index(image)
+        perm[idx] = index[tuple(image)]
         sign[idx] = wrap if state[j - 1] == 0 and state[i - 1] > 0 else 1
     return perm, sign
 
@@ -198,7 +200,7 @@ class TestPositiveFactor:
         for root in [(1, 2), (2, 3), (1, 3), (2, 1), (3, 2), (3, 1)]:
             d = phases.positive_factor(generator_matrix(b, *root))
             for k in (1, 2):
-                h = cartan_matrix(b, k)
+                h = oracles.cartan_matrix(b, k)
                 assert np.max(np.abs(h @ d - d @ h)) < 1e-12
 
 
@@ -216,12 +218,13 @@ class TestCompletion:
     def test_plus_convention_lambda2_permutation(self):
         b = bs.enumerate_basis(3, 2)
         e = phases.su2_invariant_completion(b, (1, 2), "plus").dense()
+        index = oracles.positions(b)
         cycle = [(0, 2, 0), (1, 1, 0), (2, 0, 0), (0, 2, 0)]
         for src, dst in zip(cycle, cycle[1:]):
-            assert e[b.index(dst), b.index(src)] == 1
-        assert e[b.index((1, 0, 1)), b.index((0, 1, 1))] == 1
-        assert e[b.index((0, 1, 1)), b.index((1, 0, 1))] == 1
-        assert e[b.index((0, 0, 2)), b.index((0, 0, 2))] == 1
+            assert e[index[dst], index[src]] == 1
+        assert e[index[(1, 0, 1)], index[(0, 1, 1)]] == 1
+        assert e[index[(0, 1, 1)], index[(1, 0, 1)]] == 1
+        assert e[index[(0, 0, 2)], index[(0, 0, 2)]] == 1
 
     @pytest.mark.parametrize("convention", ["plus", "paper-sign"])
     @pytest.mark.parametrize("n,lam,root", [(3, 3, (1, 2)), (3, 5, (3, 1)), (4, 3, (2, 3))])
@@ -231,7 +234,7 @@ class TestCompletion:
         c = generator_matrix(b, *root)
         assert phases.unitarity_residual(factors.unitary) < 1e-12
         assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-12
-        assert factors.kernel_dimension == len(bs.kernel_states(b, root))
+        assert factors.kernel_dimension == len(oracles.kernel_states(b, root))
 
     @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw"])
     @pytest.mark.parametrize("n,lam,root", [(2, 4, (2, 1)), (3, 3, (1, 2)), (4, 2, (3, 1))])
@@ -282,7 +285,7 @@ class TestCompletion:
         b = bs.enumerate_basis(3, 3)
         for convention, wrap in [("plus", 1), ("paper-sign", -1)]:
             e = phases.su2_invariant_completion(b, (1, 2), convention).dense()
-            for orbit in bs.su2_strings(b, (1, 2)).orbits:
+            for orbit in oracles.strings(b, (1, 2)):
                 block = e[np.ix_(orbit, orbit)]
                 power = np.linalg.matrix_power(block, len(orbit))
                 expected = np.eye(len(orbit)) * (wrap if len(orbit) > 1 else 1)
@@ -293,12 +296,8 @@ class TestCompletion:
         factors = phases.polar_decompose(b, (1, 2), "raw")
         c = generator_matrix(b, 1, 2)
         assert np.max(np.abs(factors.unitary @ factors.positive - c)) < 1e-12
-        for k in bs.kernel_states(b, (1, 2)):
+        for k in oracles.kernel_states(b, (1, 2)):
             assert np.all(factors.unitary[:, k] == 0)
-
-
-def same_bits(x, y):
-    return np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
 
 
 def bits(mat):
@@ -328,7 +327,7 @@ class TestKeptMonomial:
         for root, angle in cases:
             factors = phases.polar_decompose(b, root, convention, angle)
             e, dense = factors.monomial, factors.unitary
-            assert factors.kernel_dimension == len(bs.kernel_states(b, root))
+            assert factors.kernel_dimension == len(oracles.kernel_states(b, root))
             assert phases.polar_identity_residual(factors) == dense_polar_identity(factors)
             if convention == "raw":
                 # a partial isometry: Monomial.from_dense and the logarithm refuse its dense E
@@ -353,7 +352,7 @@ class TestKeptMonomial:
             raw = phases.polar_decompose(b, root, "raw").monomial
             plus = phases.polar_decompose(b, root, "plus").monomial
             kernel = np.zeros(len(b), dtype=bool)
-            kernel[bs.kernel_states(b, root)] = True
+            kernel[oracles.kernel_states(b, root)] = True
             assert np.array_equal(raw.rows, plus.rows)
             assert np.array_equal(bits(raw.vals), bits(np.where(kernel, 0.0, 1.0).astype(complex)))
             assert kernel.any() and phases.unitarity_residual(raw) == 1.0
@@ -495,7 +494,7 @@ class TestPolarIdentityResidual:
                 got = phases.polar_identity_residual(factors)
                 # row rows[k] of E D is vals[k] times row k of D, gathered entry by entry
                 gathered = e.vals[:, None] * dmod.dense() - ladder.dense()[e.rows]
-                assert same_bits(got, np.max(np.abs(gathered))), col
+                assert oracles.same_bits(got, np.max(np.abs(gathered))), col
                 # the dense value also carries the rounding of the BLAS kernel's products
                 assert got == pytest.approx(dense_polar_identity(factors), rel=1e-14), col
 
@@ -897,7 +896,7 @@ class TestGroupCommutator:
             for k in range(6)
             if np.max(np.abs(u[:, k] - np.eye(6)[:, k])) < 1e-12
         ]
-        assert fixed == [b.index((1, 0, 1))]
+        assert fixed == [oracles.positions(b)[(1, 0, 1)]]
 
 
 class TestNorms:
@@ -1064,7 +1063,7 @@ class TestMonomial:
 def dense_d_identity_residual(lam):
     """Oracle: the squared D factors as d x d products against the dense Cartans."""
     basis = bs.enumerate_basis(3, lam)
-    h1, h2 = cartan_matrix(basis, 1), cartan_matrix(basis, 2)
+    h1, h2 = oracles.cartan_matrix(basis, 1), oracles.cartan_matrix(basis, 2)
 
     def dsq(i, j):
         d = phases.positive_factor(generator_matrix(basis, i, j))
@@ -1093,12 +1092,18 @@ class TestDIdentities:
                 raise AssertionError("d_identity_residual formed a d x d product")
 
         def refuse(*args):
-            raise AssertionError("d_identity_residual built a dense Cartan")
+            raise AssertionError("d_identity_residual built a Cartan")
+
+        def scatter(self, start=0, stop=None, original=Monomial.dense):
+            # at lambda = 6 no ladder is diagonal: a diagonal scatter is a Cartan's
+            if np.array_equal(self.rows, np.arange(len(self.rows))):
+                raise AssertionError("d_identity_residual scattered a dense Cartan")
+            return original(self, start, stop)
 
         positive_factor = phases.positive_factor
         monkeypatch.setattr(phases, "positive_factor", lambda c: positive_factor(c).view(NoProduct))
-        monkeypatch.setattr(generators, "cartan_matrix", refuse)
-        monkeypatch.setattr(phases, "cartan_matrix", refuse, raising=False)
+        monkeypatch.setattr(generators.GeneratorSet, "cartan", refuse)
+        monkeypatch.setattr(Monomial, "dense", scatter)
         assert phases.d_identity_residual(6) < 1e-12
 
 

@@ -447,8 +447,8 @@ def test_inline_gens_payload_is_the_stock_encoding():
     assert result.exit_code == 0
     gens = build_generators(enumerate_basis(3, 3))
     results = {"dimension": 10}
-    results |= {f"C_{i}{j}": mat for (i, j), mat in gens.ladders.items()}
-    results |= {f"h_{k + 1}": mat for k, mat in enumerate(gens.cartans)}
+    results |= {f"C_{i}{j}": gens.ladder(i, j).dense() for i, j in gens.roots}
+    results |= {f"h_{k}": gens.cartan(k).dense() for k in (1, 2)}
     assert result.output == _expected_envelope(
         result.output,
         "gens",
