@@ -36,6 +36,7 @@ from .phases import (
     su2_invariant_completion,
     su2_shift_E,
     sweep,
+    sweep_runs,
 )
 from .pauli import (
     additivity_solve,

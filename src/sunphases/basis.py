@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,11 +71,12 @@ class OrderedBasis:
 
     Row k of the (d, n) int64 array `occupations` is state k.  States are
     ordered lexicographically decreasing in (n_1, ..., n_n), so the highest
-    weight state |lam 0 ... 0> comes first.
+    weight state |lam 0 ... 0> comes first.  When lam is a range the basis is
+    the direct sum of those irreps, each a block in its own order, by ascending lam.
     """
 
     n: int
-    lam: int
+    lam: int | range
     occupations: np.ndarray
 
     def __len__(self) -> int:
@@ -88,15 +89,18 @@ class OrderedBasis:
         return tuple([tuple(row) for row in self.occupations.tolist()])
 
 
-def enumerate_basis(n: int, lam: int) -> OrderedBasis:
+def enumerate_basis(n: int, lam: int | range) -> OrderedBasis:
     """Enumerate the occupation basis of (lam, 0, ..., 0) for n boson modes.
 
     Each level fans every prefix with r quanta left out into the heads
-    r, r - 1, ..., 0; the last mode takes what is left.  Raises ValueError
-    for n < 2 or negative lam.
+    r, r - 1, ..., 0; the last mode takes what is left.  A range of step 1
+    gives the direct sum of its irreps: the fan starts from every lam of it.
+    Raises ValueError for n < 2, a negative lam, or a range that is empty or
+    has another step.
     """
-    d = dimension(n, lam)
-    left = np.array([lam], dtype=np.int64)
+    lams = _irreps(lam)
+    d = sum(dimension(n, one) for one in lams)
+    left = np.arange(lams.start, lams.stop, dtype=np.int64)
     levels = []
     for _ in range(n - 1):
         fan = left + 1
@@ -154,17 +158,49 @@ class StringPartition:
 def su2_strings(basis: OrderedBasis, root: Root) -> StringPartition:
     """Group the basis into su(2)_{ij} strings for the root (i, j).
 
-    A sort on (frozen occupations, n_i); each string starts at its n_i = 0 state.
+    A sort on one packed key per state: the frozen occupations, the last frozen
+    mode leading, then n_i + n_j, then n_i.  Each string starts at its n_i = 0
+    state, and n_i + n_j keeps apart the strings of different irreps of a direct sum.
     """
     i, j = check_root(basis.n, root)
     occ = basis.occupations
-    frozen = [occ[:, k] for k in range(basis.n) if k not in (i - 1, j - 1)]
-    order = np.lexsort([occ[:, i - 1], *frozen])
-    bounds = np.concatenate(((occ[:, i - 1][order] == 0).nonzero()[0], (len(order),)))
+    # no occupation exceeds the top lam, so each is a digit in base top + 1
+    order = np.lexsort((occ @ _key_weights(basis.n, i, j, _irreps(basis.lam)[-1] + 1)).T)
+    ni = occ[:, i - 1]
+    bounds = np.concatenate(((ni[order] == 0).nonzero()[0], (len(order),)))
     image = np.empty_like(order)
     image[order[:-1]] = order[1:]
     image[order[bounds[1:] - 1]] = order[bounds[:-1]]
     return StringPartition((i, j), order, bounds, image)
+
+
+def _irreps(lam: int | range) -> range:
+    """lam as a range of step 1; ValueError for a range that is empty or has another step."""
+    if not isinstance(lam, range):
+        return range(lam, lam + 1)
+    if lam.step != 1 or not lam:
+        raise ValueError(f"need a non-empty range of step 1, got {lam}")
+    return lam
+
+
+@lru_cache(maxsize=1024)
+def _key_weights(n: int, i: int, j: int, base: int) -> np.ndarray:
+    """Read-only (n, words) int64 weights: occupations @ weights packs the key of
+    `su2_strings` into int64 words, the least significant first, for `np.lexsort`.
+
+    The digits, from the least significant, are n_i, n_i + n_j and the frozen
+    occupations by ascending mode, each below base.  A word holds as many digits
+    as base**count <= 2**63 allows, so no word overflows.
+    """
+    places = [[i - 1], [i - 1, j - 1], *([k] for k in range(n) if k not in (i - 1, j - 1))]
+    per_word = 1
+    while per_word < n and base ** (per_word + 1) <= 2**63:
+        per_word += 1
+    weights = np.zeros((n, -(-n // per_word)), dtype=np.int64)
+    for place, modes in enumerate(places):
+        weights[modes, place // per_word] += base ** (place % per_word)
+    weights.flags.writeable = False
+    return weights
 
 
 def _kernel_mask(basis: OrderedBasis, root: Root) -> np.ndarray:

@@ -7,6 +7,7 @@ residual breach of `gens` or `phases` (an implementation bug, not bad input).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -73,7 +74,8 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
     # and taken as the slope between them: 96 bytes per state at n = 2 (lambda =
     # 200 000 and 600 000), 104 at n = 3 (500 and 1000), 113 at n = 4 (100 and 150),
     # 122 at n = 5 (30 and 40) and 143 at n = 6 (15 and 20).  The pool holds one
-    # lambda per thread, so in_flight is min(threads, number of lambdas).
+    # run of consecutive lambda per thread, and no run holds more states than the
+    # largest lambda, so in_flight is min(threads, number of runs).
     return lambda n, d: (72 + 12 * n) * d * in_flight
 
 
@@ -290,7 +292,9 @@ def cmd_sweep(
     try:
         bs.check_root(n, root_a)
         bs.check_root(n, root_b)
-        _refuse_unfit(n, lam_max, _sweep_bytes(min(threads, lam_max - lam_min + 1)))
+        # the runs come from the top down: counting up to threads of them stays cheap
+        runs = phases.sweep_runs(n, lam_min, lam_max)
+        _refuse_unfit(n, lam_max, _sweep_bytes(len(list(itertools.islice(runs, threads)))))
         rows = phases.sweep(
             n, lam_min, lam_max, root_a, root_b, convention, threads=threads
         )

@@ -10,10 +10,11 @@ fundamental su(3) irrep the "complementary" convention uses the `pauli` families
 A completed E is a `Monomial`: the row index and value of the one nonzero in
 each column.  The group commutator of two of them is composed on those arrays
 and stays one, and `noncommutativity_norm` reads the norm of U - 1 and its
-fixed points off it, so a `sweep` costs O(d) per lambda and holds no d x d
-array.  It measures how badly the corresponding phases fail to be additive;
-`noncommutativity_norm` and `sweep` quantify this across irreps and compare
-against the closed-form edge-counting predictions and `exact_raw_norm`.  Dense
+fixed points off it.  The norm measures how badly the corresponding phases
+fail to be additive; `noncommutativity_norm` and `sweep` quantify this across
+irreps and compare against the closed-form edge-counting predictions and
+`exact_raw_norm`.  A `sweep` takes each run of consecutive lambda as one
+direct sum, costs O(d) per run and holds no d x d array.  Dense
 matrices appear only at the boundary.  `polar_decompose` holds E, D and C as
 `Monomial`s, which the `phases` payload renders block by block; phi is the one
 dense factor, besides the transient C that `positive_factor` reads and its D.
@@ -33,13 +34,14 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .basis import (
     OrderedBasis,
     Root,
+    _irreps,
     _kernel_mask,
     check_root,
     dimension,
@@ -418,44 +420,78 @@ def exact_raw_norm(n: int, lam: int, root_a: Root, root_b: Root) -> int:
 
 def noncommutativity_norm(
     n: int,
-    lam: int,
+    lam: int | range,
     root_a: Root = (1, 2),
     root_b: Root = (3, 1),
     convention: str = "plus",
-) -> NoncommutativityReport:
-    """Build both phase operators and quantify their failure to commute."""
+) -> NoncommutativityReport | list[NoncommutativityReport]:
+    """Build both phase operators and quantify their failure to commute.
+
+    lam may be a range of step 1; then one report per lam comes back, in
+    ascending order, from one pass over the direct sum of those irreps.  Every
+    su(2) string lies inside one irrep, so U is block diagonal and each lam
+    reads its norm and fixed points off its own block.
+    """
     basis = enumerate_basis(n, lam)
     u = group_commutator(
         su2_invariant_completion(basis, root_a, convention),
         su2_invariant_completion(basis, root_b, convention),
     )
-    raw, fixed = _defect(u)
-    d = len(basis)
-    return NoncommutativityReport(
-        n=n,
-        lam=lam,
-        dimension=d,
-        raw_norm=raw,
-        normalized_norm=raw / d,
-        formula_value=_formula_for(n, root_a, root_b, lam),
-        fixed_point_count=fixed,
-        convention=convention,
-    )
+    lams = _irreps(lam)
+    dims = [dimension(n, one) for one in lams]
+    raws, fixeds = _defect(u, np.cumsum([0, *dims[:-1]]))
+    reports = [
+        NoncommutativityReport(
+            n=n,
+            lam=one,
+            dimension=d,
+            raw_norm=raw,
+            normalized_norm=raw / d,
+            formula_value=_formula_for(n, root_a, root_b, one),
+            fixed_point_count=fixed,
+            convention=convention,
+        )
+        for one, d, raw, fixed in zip(lams, dims, raws, fixeds)
+    ]
+    return reports if isinstance(lam, range) else reports[0]
 
 
-def _defect(u: Monomial) -> tuple[float, int]:
-    """||U - 1||^2 and the number of basis states U leaves unchanged.
+def _defect(u: Monomial, starts: np.ndarray) -> tuple[list[float], list[int]]:
+    """||U - 1||^2 and the number of basis states U leaves unchanged, for each
+    diagonal block of U, the blocks beginning at starts.
 
     Column k of M = U - 1 holds v_k - 1 at row k when U fixes k, else v_k and
     -1 in two rows, so ||M||^2 sums |v_k - 1|^2 over the fixed columns and
     |v_k|^2 + 1 over the moved ones: for signed permutations the exact integer
-    2 (moved) + 4 (fixed with sign -1).  A state is unchanged when its column
-    is fixed with v_k exactly 1.
+    2 (moved) + 4 (fixed with sign -1), whatever the order of the sum.  A state
+    is unchanged when its column is fixed with v_k exactly 1.
     """
     fixed = u.rows == np.arange(len(u.rows))
-    moved_vals, fixed_vals = u.vals[~fixed], u.vals[fixed]
-    raw = np.sum(np.abs(moved_vals) ** 2 + 1.0) + np.sum(np.abs(fixed_vals - 1.0) ** 2)
-    return float(raw), int(np.count_nonzero(fixed_vals == 1))
+    square = np.where(fixed, np.abs(u.vals - 1.0) ** 2, np.abs(u.vals) ** 2 + 1.0)
+    raws = np.add.reduceat(square, starts)
+    unchanged = np.add.reduceat(fixed & (u.vals == 1), starts, dtype=np.int64)
+    return raws.tolist(), unchanged.tolist()
+
+
+def sweep_runs(n: int, lam_min: int, lam_max: int) -> Iterator[range]:
+    """Runs of consecutive lam covering lam_min..lam_max, from the top down.
+
+    Each run reaches down while it holds at most dimension(n, lam_max)
+    states, so no run is larger than the largest irrep of the sweep.  Raises
+    ValueError for n < 2, a negative lam or an empty range.
+    """
+    cap = dimension(n, lam_max)
+    if lam_min > lam_max:
+        raise ValueError(f"empty sweep range {lam_min}..{lam_max}")
+    dimension(n, lam_min)
+    top = lam_max
+    while top >= lam_min:
+        low, states = top, dimension(n, top)
+        while low > lam_min and states + dimension(n, low - 1) <= cap:
+            low -= 1
+            states += dimension(n, low)
+        yield range(low, top + 1)
+        top = low - 1
 
 
 def sweep(
@@ -469,22 +505,23 @@ def sweep(
 ) -> list[NoncommutativityReport]:
     """Non-commutativity reports for lam = lam_min..lam_max, ascending.
 
-    The per-lam computations are independent; with `threads` above one they
-    run on a pool of that many workers, and with one in this thread (a pool
-    worker's allocations would take a fresh malloc arena).  The output order
-    is by ascending lam regardless.
+    The range is split by `sweep_runs`, and each run is one
+    `noncommutativity_norm` call.  The runs are independent; with `threads`
+    above one they run on a pool of that many workers, and with one in this
+    thread (a pool worker's allocations would take a fresh malloc arena).  The
+    output order is by ascending lam regardless.
     """
-    if lam_min > lam_max:
-        raise ValueError(f"empty sweep range {lam_min}..{lam_max}")
-    lams = range(lam_min, lam_max + 1)
+    runs = list(sweep_runs(n, lam_min, lam_max))[::-1]
 
-    def one(lam: int) -> NoncommutativityReport:
-        return noncommutativity_norm(n, lam, root_a, root_b, convention)
+    def one(run: range) -> list[NoncommutativityReport]:
+        return noncommutativity_norm(n, run, root_a, root_b, convention)
 
     if threads == 1:
-        return list(map(one, lams))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, lams))
+        blocks = list(map(one, runs))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(one, runs))
+    return [report for block in blocks for report in block]
 
 
 def decay_fit(

@@ -81,11 +81,10 @@ def suite_su3() -> list[Check]:
     worst = _worst(phases.d_identity_residual(lam) for lam in range(0, 9))
     checks.append(Check("su3", "squared-D Cartan identities, lam <= 8", worst, 1e-12))
 
-    defects = []
-    for lam in range(1, 11):
-        report = phases.noncommutativity_norm(3, lam)
-        defects.append(abs(report.normalized_norm - float(report.formula_value)))
-    worst = _worst(defects)
+    worst = _worst(
+        abs(report.normalized_norm - float(report.formula_value))
+        for report in phases.noncommutativity_norm(3, range(1, 11))
+    )
     checks.append(
         Check("su3", "normalized commutator norm vs formula, lam <= 10", worst, 1e-9)
     )
@@ -129,13 +128,10 @@ def suite_su4() -> list[Check]:
     worst = _worst(defects)
     checks.append(Check("su4", "edge counting, lam <= 6", worst, 0.5))
 
-    defects = []
-    for lam in range(0, 5):
-        report = phases.noncommutativity_norm(4, lam)
-        defects.append(
-            abs(report.raw_norm - 2.0 * (report.dimension - report.fixed_point_count))
-        )
-    worst = _worst(defects)
+    worst = _worst(
+        abs(report.raw_norm - 2.0 * (report.dimension - report.fixed_point_count))
+        for report in phases.noncommutativity_norm(4, range(0, 5))
+    )
     checks.append(
         Check("su4", "norm identity ||M||^2 = 2(d - fixed), lam <= 4", worst, 1e-10)
     )

@@ -216,3 +216,76 @@ def test_edge_overlap_counts():
     assert bs.edge_overlap_count(bs.enumerate_basis(4, 1), (1, 2), (3, 1)) == (3, 3, 2, 4)
     with pytest.raises(ValueError):
         bs.edge_overlap_count(bs.enumerate_basis(3, 1), (1, 2), (1, 2))
+
+
+@st.composite
+def direct_sums(draw):
+    """(n, lo, hi, root): a range of consecutive irreps, lambda = 0 included, and a root."""
+    n, hi, root = draw(irreps_and_roots())
+    lo = draw(st.integers(0, hi))
+    return n, lo, hi, root
+
+
+@settings(deadline=None, max_examples=150)
+@given(direct_sums())
+def test_a_range_is_the_concatenation_of_its_irreps(case):
+    n, lo, hi, _ = case
+    b = bs.enumerate_basis(n, range(lo, hi + 1))
+    want = np.concatenate([bs.enumerate_basis(n, lam).occupations for lam in range(lo, hi + 1)])
+    assert b.occupations.dtype == np.int64
+    assert np.array_equal(b.occupations, want)
+    assert (b.n, b.lam) == (n, range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("lams", [range(0, 6, 2), range(4, 1, -1), range(3, 3), range(-1, 3)])
+def test_a_range_must_be_non_empty_non_negative_and_of_step_one(lams):
+    with pytest.raises(ValueError):
+        bs.enumerate_basis(3, lams)
+
+
+@settings(deadline=None, max_examples=150)
+@given(direct_sums())
+def test_strings_of_a_direct_sum_are_the_strings_of_each_block(case):
+    n, lo, hi, root = case
+    part = bs.su2_strings(bs.enumerate_basis(n, range(lo, hi + 1)), root)
+    want, start = [], 0
+    for lam in range(lo, hi + 1):
+        block = bs.enumerate_basis(n, lam)
+        want += [tuple(k + start for k in string) for string in oracles.strings(block, root)]
+        start += len(block)
+    assert oracles.strings_of(part) == tuple(sorted(want))
+
+
+def lexsort_strings(basis, root):
+    """Oracle: order, bounds and image from a lexsort on (frozen occupations, n_i)."""
+    i, j = root
+    occ = basis.occupations
+    frozen = [occ[:, k] for k in range(basis.n) if k not in (i - 1, j - 1)]
+    order = np.lexsort([occ[:, i - 1], *frozen])
+    bounds = np.concatenate(((occ[:, i - 1][order] == 0).nonzero()[0], (len(order),)))
+    image = np.empty_like(order)
+    image[order[:-1]] = order[1:]
+    image[order[bounds[1:] - 1]] = order[bounds[:-1]]
+    return order, bounds, image
+
+
+def assert_same_partition(b, root):
+    part = bs.su2_strings(b, root)
+    for got, want in zip((part.order, part.bounds, part.image), lexsort_strings(b, root)):
+        assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(irreps_and_roots())
+def test_the_packed_key_sorts_an_irrep_as_the_lexsort_does(case):
+    n, lam, root = case
+    assert_same_partition(bs.enumerate_basis(n, lam), root)
+
+
+@pytest.mark.parametrize("root", [(1, 2), (40, 1), (7, 33), (39, 40)])
+def test_a_key_of_two_words_sorts_as_the_lexsort_does(root):
+    # 40 digits in base 3: 3**40 > 2**63, so the key spills into a second word
+    b = bs.enumerate_basis(40, 2)
+    assert 3**40 > 2**63 >= 3**39
+    assert bs._key_weights(40, *root, 3).shape == (40, 2)
+    assert_same_partition(b, root)

@@ -453,8 +453,9 @@ class TestMatrixCommandCost:
 
 class TestSweepStateCost:
     """`sweep` holds no d x d array: it needs (72 + 12 n) bytes per state of its
-    largest lambda for each lambda in flight.  Given exactly that much memory for
-    one lambda, it runs that lambda and refuses the next one, or two at once."""
+    largest lambda for each run in flight, and no run holds more states than that
+    lambda.  Given exactly that much memory for one run, it runs that lambda and
+    refuses the next one, or two runs at once."""
 
     @pytest.fixture(params=[(3, 100), (4, 30)])
     def irrep(self, request, monkeypatch):

@@ -923,14 +923,16 @@ class TestNorms:
         signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
         for u in (mat, (mat != 0) * np.array(signs)):
             m = u - np.eye(d)
-            raw, fixed = phases._defect(Monomial.from_dense(u))
+            (raw,), (fixed,) = phases._defect(Monomial.from_dense(u), [0])
             assert raw == pytest.approx(float(np.vdot(m, m).real), abs=1e-12)
             assert fixed == int(np.count_nonzero(np.max(np.abs(m), axis=0) == 0))
 
     def test_a_fixed_column_with_sign_minus_one_is_not_a_fixed_point(self):
         u = Monomial(np.array([0, 2, 1]), np.array([-1.0, 1.0, 1.0]))
-        assert phases._defect(u) == (8.0, 0)
-        assert phases._defect(Monomial(np.arange(3), np.array([1.0, -1.0, 1.0]))) == (4.0, 2)
+        assert phases._defect(u, [0]) == ([8.0], [0])
+        one_flipped = Monomial(np.arange(3), np.array([1.0, -1.0, 1.0]))
+        assert phases._defect(one_flipped, [0]) == ([4.0], [2])
+        assert phases._defect(u, [0, 1]) == ([4.0, 4.0], [0, 0])
 
     @pytest.mark.parametrize("lam", range(1, 11))
     def test_su3_matches_formula(self, lam):
@@ -1105,6 +1107,66 @@ class TestDIdentities:
         monkeypatch.setattr(generators.GeneratorSet, "cartan", refuse)
         monkeypatch.setattr(Monomial, "dense", scatter)
         assert phases.d_identity_residual(6) < 1e-12
+
+
+@st.composite
+def range_pairs(draw):
+    """(n, lams, root_a, root_b, convention): a range of consecutive irreps, lambda = 0
+    included, and two roots sharing 0, 1 or 2 modes."""
+    n = draw(st.integers(2, 6))
+    hi = draw(st.integers(0, LAM_MAX[n]))
+    lams = range(draw(st.integers(0, hi)), hi + 1)
+    roots = ladder_roots(n)
+    root_a = draw(st.sampled_from(roots))
+    shared = draw(st.sampled_from([k for k in (0, 1, 2) if k >= 4 - n]))
+    root_b = draw(st.sampled_from([r for r in roots if len(set(r) & set(root_a)) == shared]))
+    return n, lams, root_a, root_b, draw(st.sampled_from(["plus", "paper-sign"]))
+
+
+class TestRangeNorms:
+    @settings(deadline=None, max_examples=200)
+    @given(range_pairs())
+    def test_a_range_gives_the_single_lambda_reports(self, pair):
+        n, lams, root_a, root_b, convention = pair
+        reports = phases.noncommutativity_norm(n, lams, root_a, root_b, convention)
+        assert [r.lam for r in reports] == list(lams)
+        for report in reports:
+            single = phases.noncommutativity_norm(n, report.lam, root_a, root_b, convention)
+            for field in dataclasses.fields(report):
+                got, want = getattr(report, field.name), getattr(single, field.name)
+                assert type(got) is type(want) and got == want, field.name
+            assert oracles.same_bits(report.raw_norm, single.raw_norm)
+            assert oracles.same_bits(report.normalized_norm, single.normalized_norm)
+            assert report.raw_norm == phases.exact_raw_norm(n, report.lam, root_a, root_b)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(2, 6), st.integers(0, 60), st.integers(0, 60))
+    def test_runs_cover_the_range_once_within_the_largest_irrep(self, n, lam_min, span):
+        lam_max = lam_min + span
+        runs = list(phases.sweep_runs(n, lam_min, lam_max))[::-1]
+        assert [lam for run in runs for lam in run] == list(range(lam_min, lam_max + 1))
+        cap = bs.dimension(n, lam_max)
+        assert all(run.step == 1 and len(run) > 0 for run in runs)
+        assert max(sum(bs.dimension(n, lam) for lam in run) for run in runs) <= cap
+
+    def test_runs_of_the_benchmark_tables(self):
+        def ends(n, lam_min, lam_max):
+            return [(run[0], run[-1]) for run in phases.sweep_runs(n, lam_min, lam_max)][::-1]
+
+        assert len(ends(3, 1, 30)) == 14
+        assert ends(4, 2, 12) == [(2, 7), (8, 9), (10, 10), (11, 11), (12, 12)]
+
+    def test_runs_refuse_what_the_sweep_refuses(self):
+        for args in [(3, 5, 4), (3, -1, 4), (3, -3, -1), (1, 0, 4)]:
+            with pytest.raises(ValueError):
+                next(phases.sweep_runs(*args))
+
+    def test_threads_map_runs_and_keep_the_order(self):
+        assert len(list(phases.sweep_runs(3, 1, 60))) > 3
+        serial = phases.sweep(3, 1, 60, threads=1)
+        assert [r.lam for r in serial] == list(range(1, 61))
+        assert phases.sweep(3, 1, 60, threads=3) == serial
+        assert serial == [phases.noncommutativity_norm(3, lam) for lam in range(1, 61)]
 
 
 class TestSweepAndFit:
