@@ -36,7 +36,6 @@ from .phases import (
     su2_invariant_completion,
     su2_shift_E,
     sweep,
-    sweep_runs,
 )
 from .pauli import (
     additivity_solve,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -183,24 +183,29 @@ def _irreps(lam: int | range) -> range:
     return lam
 
 
-@lru_cache(maxsize=1024)
 def _key_weights(n: int, i: int, j: int, base: int) -> np.ndarray:
-    """Read-only (n, words) int64 weights: occupations @ weights packs the key of
+    """(n, words) int64 weights: occupations @ weights packs the key of
     `su2_strings` into int64 words, the least significant first, for `np.lexsort`.
 
     The digits, from the least significant, are n_i, n_i + n_j and the frozen
     occupations by ascending mode, each below base.  A word holds as many digits
     as base**count <= 2**63 allows, so no word overflows.
     """
-    places = [[i - 1], [i - 1, j - 1], *([k] for k in range(n) if k not in (i - 1, j - 1))]
     per_word = 1
     while per_word < n and base ** (per_word + 1) <= 2**63:
         per_word += 1
-    weights = np.zeros((n, -(-n // per_word)), dtype=np.int64)
-    for place, modes in enumerate(places):
-        weights[modes, place // per_word] += base ** (place % per_word)
-    weights.flags.writeable = False
-    return weights
+    words = -(-n // per_word)
+    # (n, words) row-major in Python ints, converted once: numpy writes one
+    # entry at a time would cost more than the sort itself at small d
+    weights = [0] * (n * words)
+    place = 2
+    for k in range(n):
+        if k != i - 1 and k != j - 1:
+            weights[k * words + place // per_word] = base ** (place % per_word)
+            place += 1
+    for k, place in ((i - 1, 0), (i - 1, 1), (j - 1, 1)):
+        weights[k * words + place // per_word] += base ** (place % per_word)
+    return np.array(weights, dtype=np.int64).reshape(n, words)
 
 
 def _kernel_mask(basis: OrderedBasis, root: Root) -> np.ndarray:

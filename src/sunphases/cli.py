@@ -293,7 +293,7 @@ def cmd_sweep(
         bs.check_root(n, root_a)
         bs.check_root(n, root_b)
         # the runs come from the top down: counting up to threads of them stays cheap
-        runs = phases.sweep_runs(n, lam_min, lam_max)
+        runs = phases._sweep_runs(n, lam_min, lam_max)
         _refuse_unfit(n, lam_max, _sweep_bytes(len(list(itertools.islice(runs, threads)))))
         rows = phases.sweep(
             n, lam_min, lam_max, root_a, root_b, convention, threads=threads

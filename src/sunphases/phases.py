@@ -473,7 +473,7 @@ def _defect(u: Monomial, starts: np.ndarray) -> tuple[list[float], list[int]]:
     return raws.tolist(), unchanged.tolist()
 
 
-def sweep_runs(n: int, lam_min: int, lam_max: int) -> Iterator[range]:
+def _sweep_runs(n: int, lam_min: int, lam_max: int) -> Iterator[range]:
     """Runs of consecutive lam covering lam_min..lam_max, from the top down.
 
     Each run reaches down while it holds at most dimension(n, lam_max)
@@ -505,13 +505,13 @@ def sweep(
 ) -> list[NoncommutativityReport]:
     """Non-commutativity reports for lam = lam_min..lam_max, ascending.
 
-    The range is split by `sweep_runs`, and each run is one
+    The range is split by `_sweep_runs`, and each run is one
     `noncommutativity_norm` call.  The runs are independent; with `threads`
     above one they run on a pool of that many workers, and with one in this
     thread (a pool worker's allocations would take a fresh malloc arena).  The
     output order is by ascending lam regardless.
     """
-    runs = list(sweep_runs(n, lam_min, lam_max))[::-1]
+    runs = list(_sweep_runs(n, lam_min, lam_max))[::-1]
 
     def one(run: range) -> list[NoncommutativityReport]:
         return noncommutativity_norm(n, run, root_a, root_b, convention)

@@ -1143,7 +1143,7 @@ class TestRangeNorms:
     @given(st.integers(2, 6), st.integers(0, 60), st.integers(0, 60))
     def test_runs_cover_the_range_once_within_the_largest_irrep(self, n, lam_min, span):
         lam_max = lam_min + span
-        runs = list(phases.sweep_runs(n, lam_min, lam_max))[::-1]
+        runs = list(phases._sweep_runs(n, lam_min, lam_max))[::-1]
         assert [lam for run in runs for lam in run] == list(range(lam_min, lam_max + 1))
         cap = bs.dimension(n, lam_max)
         assert all(run.step == 1 and len(run) > 0 for run in runs)
@@ -1151,7 +1151,7 @@ class TestRangeNorms:
 
     def test_runs_of_the_benchmark_tables(self):
         def ends(n, lam_min, lam_max):
-            return [(run[0], run[-1]) for run in phases.sweep_runs(n, lam_min, lam_max)][::-1]
+            return [(run[0], run[-1]) for run in phases._sweep_runs(n, lam_min, lam_max)][::-1]
 
         assert len(ends(3, 1, 30)) == 14
         assert ends(4, 2, 12) == [(2, 7), (8, 9), (10, 10), (11, 11), (12, 12)]
@@ -1159,10 +1159,10 @@ class TestRangeNorms:
     def test_runs_refuse_what_the_sweep_refuses(self):
         for args in [(3, 5, 4), (3, -1, 4), (3, -3, -1), (1, 0, 4)]:
             with pytest.raises(ValueError):
-                next(phases.sweep_runs(*args))
+                next(phases._sweep_runs(*args))
 
     def test_threads_map_runs_and_keep_the_order(self):
-        assert len(list(phases.sweep_runs(3, 1, 60))) > 3
+        assert len(list(phases._sweep_runs(3, 1, 60))) > 3
         serial = phases.sweep(3, 1, 60, threads=1)
         assert [r.lam for r in serial] == list(range(1, 61))
         assert phases.sweep(3, 1, 60, threads=3) == serial
