@@ -75,8 +75,9 @@ def _sweep_bytes(in_flight: int) -> Callable[[int, int], int]:
     # 200 000 and 600 000), 104 at n = 3 (500 and 1000), 113 at n = 4 (100 and 150),
     # 122 at n = 5 (30 and 40) and 143 at n = 6 (15 and 20).  The pool holds one
     # run of consecutive lambda per thread, and no run holds more states than the
-    # largest lambda, so in_flight is min(threads, number of runs).
-    return lambda n, d: (72 + 12 * n) * d * in_flight
+    # largest lambda or phases._RUN_STATES, whichever is more, so in_flight is
+    # min(threads, number of runs).
+    return lambda n, d: (72 + 12 * n) * max(d, phases._RUN_STATES) * in_flight
 
 
 # Peak above an idle CLI in bytes per d x d entry, measured in process (VmHWM) at two

@@ -143,15 +143,16 @@ def displayed_coefficient(lam: int, root: tuple[int, int], weight: tuple[int, in
     raise ValueError(f"no displayed coefficient for root {root}")
 
 
-def gamma_su3(lam: int) -> GeneratorSet:
+def gamma_su3(lam: int | range) -> GeneratorSet:
     """Coherent-state realization of su(3) on the (lam, 0) occupation basis.
 
     Every ladder C_ij has the bare occupation n_j as coefficient, so
     the long roots C_13 and C_31 are built like the displayed ones and
     [C_12, C_23] = C_13 is left for the commutation check to confirm.
+    lam may be a range of step 1, as in `enumerate_basis`: the set then acts
+    on the direct sum, each ladder inside its irrep's block.  A negative lam
+    raises ValueError.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
     return _generator_set(enumerate_basis(3, lam), _occupation_coefficient)
 
 

@@ -78,3 +78,24 @@ def number_matrix(basis, i):
 def cartan_matrix(basis, k):
     """The dense Cartan h_k = C_kk - C_{k+1,k+1}."""
     return np.diag(np.array([state[k - 1] - state[k] for state in basis.states], dtype=complex))
+
+
+def block_offsets(n, lams):
+    """(lam, first row) of each irrep's block in the direct sum over lams, by ascending lam."""
+    offsets, start = [], 0
+    for lam in lams:
+        offsets.append((lam, start))
+        start += math.comb(lam + n - 1, n - 1)
+    return offsets
+
+
+def same_block(rows, vals, start, part_rows, part_vals):
+    """Whether rows[start:] begins with part_rows moved down by start, and vals with
+    part_vals, bit for bit: one irrep's operator as a block of the direct sum's."""
+    stop = start + len(part_rows)
+    vals, part_vals = np.ascontiguousarray(vals[start:stop]), np.ascontiguousarray(part_vals)
+    return (
+        np.array_equal(rows[start:stop], np.asarray(part_rows) + start)
+        and vals.dtype == part_vals.dtype
+        and np.array_equal(vals.view(np.uint64), part_vals.view(np.uint64))
+    )

@@ -453,9 +453,9 @@ class TestMatrixCommandCost:
 
 class TestSweepStateCost:
     """`sweep` holds no d x d array: it needs (72 + 12 n) bytes per state of its
-    largest lambda for each run in flight, and no run holds more states than that
-    lambda.  Given exactly that much memory for one run, it runs that lambda and
-    refuses the next one, or two runs at once."""
+    largest lambda, or of phases._RUN_STATES states where that lambda is smaller,
+    for each run in flight, and no run holds more.  Given exactly that much memory
+    for one run, it runs that lambda and refuses the next one, or two runs at once."""
 
     @pytest.fixture(params=[(3, 100), (4, 30)])
     def irrep(self, request, monkeypatch):
@@ -484,6 +484,16 @@ class TestSweepStateCost:
     def test_two_threads_hold_two_lambdas(self, runner, irrep):
         n, lam = irrep
         result = self.sweep(runner, n, lam - 1, lam, 2)
+        assert result.exit_code == 2
+        assert "physical memory" in result.output
+
+    def test_small_irreps_are_charged_a_full_run(self, runner, monkeypatch):
+        # su(3) lambda = 1..5 is one run of 56 states, charged as _RUN_STATES
+        need = (72 + 12 * 3) * phases._RUN_STATES
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+        assert self.sweep(runner, 3, 1, 5, 1).exit_code == 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+        result = self.sweep(runner, 3, 1, 5, 1)
         assert result.exit_code == 2
         assert "physical memory" in result.output
 

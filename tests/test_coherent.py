@@ -306,6 +306,25 @@ class TestGammaSu3:
         g = coherent.gamma_su3(lam)
         assert coherent.gamma_su3_commutation_residual(g) < 1e-12
 
+    def test_a_range_gives_the_per_lambda_sets_block_for_block(self):
+        lams = range(0, 5)
+        whole = coherent.gamma_su3(lams)
+        offsets = oracles.block_offsets(3, lams)
+        assert len(whole.basis) == offsets[-1][1] + math.comb(lams[-1] + 2, 2)
+        for lam, start in offsets:
+            part = coherent.gamma_su3(lam)
+            assert whole.roots == part.roots
+            for p in range(len(part.roots)):
+                assert oracles.same_block(
+                    whole.images[p], whole.coefficients[p], start,
+                    part.images[p], part.coefficients[p],
+                ), (lam, part.roots[p])
+
+    @pytest.mark.parametrize("lam", [-1, range(-1, 2), range(3, 3), range(0, 6, 2)])
+    def test_refuses_a_negative_lambda_or_a_bad_range(self, lam):
+        with pytest.raises(ValueError):
+            coherent.gamma_su3(lam)
+
     def test_ladders_shift_by_roots(self):
         g = coherent.gamma_su3(2)
         for i, j in g.roots:

@@ -194,6 +194,16 @@ class TestPositiveFactor:
             dmat = eigh_positive_factor(mat)
             assert np.max(np.abs(dmat @ dmat - mat.conj().T @ mat)) < 1e-12
 
+    @pytest.mark.parametrize("n, lam", [(n, lam) for n in range(2, 6) for lam in range(9)])
+    def test_diagonal_is_the_boson_coefficient_bit_for_bit(self, n, lam):
+        # sqrt(fl(y^2)) = y, so D's diagonal is the ladder's coefficient y itself
+        b = bs.enumerate_basis(n, lam)
+        occ = b.occupations
+        for i, j in ladder_roots(n):
+            want = np.diagonal(phases.positive_factor(generator_matrix(b, i, j))).real
+            got = generators._boson_coefficient(occ[:, i - 1], occ[:, j - 1])
+            assert np.array_equal(bits(got), bits(want)), (i, j)
+
     @pytest.mark.parametrize("lam", range(7))
     def test_commutes_with_cartans(self, lam):
         b = bs.enumerate_basis(3, lam)
@@ -361,6 +371,35 @@ class TestKeptMonomial:
         e = phases.su2_invariant_completion(bs.enumerate_basis(3, 2), (1, 2))
         with pytest.raises(ValueError, match="polar completion"):
             phases.phase_hermitian(Monomial(e.rows, 2 * e.vals))
+
+
+class TestDirectSumFactors:
+    """polar_decompose on a direct sum of irreps gives each irrep's E, D and C as
+    a block, its rows moved down by the block's first row."""
+
+    LAMS = range(0, 7)
+
+    @pytest.mark.parametrize("convention", ["plus", "paper-sign", "raw"])
+    @pytest.mark.parametrize("root", ladder_roots(3))
+    def test_factors_are_the_per_irrep_factors_block_for_block(self, root, convention):
+        whole = phases.polar_decompose(bs.enumerate_basis(3, self.LAMS), root, convention)
+        offsets = oracles.block_offsets(3, self.LAMS)
+        assert len(whole.monomial.rows) == offsets[-1][1] + math.comb(self.LAMS[-1] + 2, 2)
+        kernel = 0
+        for lam, start in offsets:
+            part = phases.polar_decompose(bs.enumerate_basis(3, lam), root, convention)
+            for name in ("monomial", "modulus", "ladder"):
+                got, want = getattr(whole, name), getattr(part, name)
+                assert oracles.same_block(got.rows, got.vals, start, want.rows, want.vals), (
+                    lam,
+                    name,
+                )
+            kernel += part.kernel_dimension
+        assert whole.convention == convention and whole.kernel_dimension == kernel
+
+    def test_complementary_refuses_a_direct_sum(self):
+        with pytest.raises(ValueError, match="fundamental"):
+            phases.polar_decompose(bs.enumerate_basis(3, range(1, 2)), (1, 2), "complementary")
 
 
 class TestComplementaryConvention:
@@ -1096,6 +1135,9 @@ class TestDIdentities:
         def refuse(*args):
             raise AssertionError("d_identity_residual built a Cartan")
 
+        def dense_ladder(*args):
+            raise AssertionError("d_identity_residual built a dense ladder")
+
         def scatter(self, start=0, stop=None, original=Monomial.dense):
             # at lambda = 6 no ladder is diagonal: a diagonal scatter is a Cartan's
             if np.array_equal(self.rows, np.arange(len(self.rows))):
@@ -1106,6 +1148,8 @@ class TestDIdentities:
         monkeypatch.setattr(phases, "positive_factor", lambda c: positive_factor(c).view(NoProduct))
         monkeypatch.setattr(generators.GeneratorSet, "cartan", refuse)
         monkeypatch.setattr(Monomial, "dense", scatter)
+        # D's diagonal is the ladder coefficient, read in O(d)
+        monkeypatch.setattr(phases, "generator_matrix", dense_ladder)
         assert phases.d_identity_residual(6) < 1e-12
 
 
@@ -1142,19 +1186,27 @@ class TestRangeNorms:
     @settings(deadline=None, max_examples=200)
     @given(st.integers(2, 6), st.integers(0, 60), st.integers(0, 60))
     def test_runs_cover_the_range_once_within_the_largest_irrep(self, n, lam_min, span):
+        # the cap is the largest irrep, or _RUN_STATES where that irrep is smaller
         lam_max = lam_min + span
         runs = list(phases._sweep_runs(n, lam_min, lam_max))[::-1]
         assert [lam for run in runs for lam in run] == list(range(lam_min, lam_max + 1))
-        cap = bs.dimension(n, lam_max)
+        cap = max(bs.dimension(n, lam_max), phases._RUN_STATES)
         assert all(run.step == 1 and len(run) > 0 for run in runs)
-        assert max(sum(bs.dimension(n, lam) for lam in run) for run in runs) <= cap
+        states = [sum(bs.dimension(n, lam) for lam in run) for run in runs]
+        assert max(states) <= cap
+        # maximal: every run but the lowest stops where the lambda below would pass the cap
+        for run, held in zip(runs[1:], states[1:]):
+            assert held + bs.dimension(n, run[0] - 1) > cap, run
 
     def test_runs_of_the_benchmark_tables(self):
         def ends(n, lam_min, lam_max):
             return [(run[0], run[-1]) for run in phases._sweep_runs(n, lam_min, lam_max)][::-1]
 
-        assert len(ends(3, 1, 30)) == 14
-        assert ends(4, 2, 12) == [(2, 7), (8, 9), (10, 10), (11, 11), (12, 12)]
+        assert phases._RUN_STATES == 2048
+        assert ends(3, 1, 30) == [(1, 20), (21, 26), (27, 30)]
+        assert ends(4, 2, 12) == [(2, 12)]
+        # far above the floor the largest irrep sets the cap, as without it
+        assert len(ends(3, 1, 400)) == 173
 
     def test_runs_refuse_what_the_sweep_refuses(self):
         for args in [(3, 5, 4), (3, -1, 4), (3, -3, -1), (1, 0, 4)]:
