@@ -287,6 +287,10 @@ def cmd_sweep(
     """Non-commutativity norms over a range of irreps, with formula columns."""
     if roots and len(roots) != 2:
         raise click.UsageError("--root must be given exactly twice (a pair) or not at all")
+    if not roots and n < 3:
+        raise click.UsageError(
+            f"the default root pair (1,2),(3,1) needs n >= 3, got n = {n}: give --root twice"
+        )
     root_a, root_b = (
         (_parse_root(roots[0]), _parse_root(roots[1])) if roots else ((1, 2), (3, 1))
     )

@@ -73,12 +73,15 @@ class Monomial:
 
     def max_abs_difference(self, other: Monomial) -> float:
         """Largest entry modulus of self - other in O(d), bit for bit the dense one."""
+        return float(np.max(self.abs_difference(other), initial=0.0))
+
+    def abs_difference(self, other: Monomial) -> np.ndarray:
+        """Largest entry modulus of self - other in each column, bit for bit the dense one."""
         if self.shape != other.shape:
             raise ValueError(f"dimension mismatch: {self.shape} vs {other.shape}")
         # a shared row holds the difference; elsewhere each value stands against a zero
         apart = np.maximum(np.abs(self.vals), np.abs(other.vals))
-        defect = np.where(self.rows == other.rows, np.abs(self.vals - other.vals), apart)
-        return float(np.max(defect, initial=0.0))
+        return np.where(self.rows == other.rows, np.abs(self.vals - other.vals), apart)
 
 
 def _shift(basis: OrderedBasis, i: int, j: int, coefficient: Callable) -> Monomial:

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import datetime
 import functools
+import itertools
 import json
 import math
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -102,7 +104,7 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
     before, tail = _separators(len(shape) + 1, pad)
     restarts = np.array(before, dtype=object)
     zero = before[1] + b"0.0" + before[0] + b"0.0"  # a zero pair inside a row
-    spans = np.cumprod(shape[::-1]).tolist()
+    spans = list(itertools.accumulate(shape[::-1], operator.mul))
     zeros = memoryview(zero * spans[0])
     spelled: dict[int, bytes] = {}  # json's word for each bit pattern met so far
     for start, pairs in blocks:
@@ -111,7 +113,7 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
         special[:: spans[0]] = True
         at = np.flatnonzero(special)
         # zero pairs after each special pair, up to the next one or the block's end
-        gaps = np.diff(at, append=len(special)) - 1
+        gaps = np.concatenate((at[1:], [len(special)])) - at - 1
         found, leaf = np.unique(block[at].ravel(), return_inverse=True)
         del pairs, block, special  # free a scattered block before its text is joined
         keys = found.tolist()
@@ -120,10 +122,11 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
             text = json.dumps(np.array(new, dtype=np.uint64).view(float).tolist())
             spelled.update(zip(new, text[1:-1].encode().split(b", ")))
         words = np.array([spelled[key] for key in keys], dtype=object)
-        lengths, run = np.unique(gaps, return_inverse=True)
-        runs = np.empty(len(lengths), dtype=object)
-        for k, gap in enumerate(lengths.tolist()):
-            runs[k] = zeros[: len(zero) * gap]
+        # runs by their length, which is below a row's width: an index, not a sort
+        lengths = np.flatnonzero(np.bincount(gaps))
+        runs = np.empty(lengths[-1] + 1, dtype=object)
+        for gap in lengths.tolist():
+            runs[gap] = zeros[: len(zero) * gap]
         at += start
         depth = np.ones_like(at)  # lists that close and reopen before the pair
         for span in spans:
@@ -132,7 +135,7 @@ def matrix_payload(mat: np.ndarray | Monomial, pad: str) -> Iterator[bytes]:
         parts[:, 0] = restarts[depth]
         parts[:, 1:4:2] = words[leaf.reshape(-1, 2)]
         parts[:, 2] = before[0]
-        parts[:, 4] = runs[run]
+        parts[:, 4] = runs[gaps]
         yield b"".join(parts.ravel().tolist())
     yield tail
 

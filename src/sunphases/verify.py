@@ -7,7 +7,10 @@ build.
 A check over a range of small irreps whose residual is a max over entries runs
 once on their direct sum, `enumerate_basis` on a range: every ladder, completion
 and image stays inside its irrep's block, so the one residual is the max of the
-per-irrep ones, bit for bit, and the fixed cost of each call is paid once.
+per-irrep ones, bit for bit, and the fixed cost of each call is paid once.  The
+su(2) checks of `suite_gamma` return one residual per spin of their sum (see
+`coherent`), and one intertwiner diagonal over 2j = 0..60 serves all three that
+read it.  The Fourier check builds each spin's eigenvectors as one array.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import basis as bs
 from . import coherent, pauli, phases
-from .generators import Monomial, build_generators, commutation_residual
+from .generators import build_generators, commutation_residual
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def suite_su2() -> list[Check]:
         spectrum_defect.append(
             np.max(np.min(np.abs(eigvals[:, None] - roots[None, :]), axis=0))
         )
-        for _, vec in coherent.dft_eigensystem(e):
-            unbiased_defect.append(np.max(np.abs(np.abs(vec) ** 2 - 1.0 / dim)))
+        vectors = coherent._fourier_vectors(dim)  # row k: the eigenvector for w^k
+        unbiased_defect.append(np.max(np.abs(np.abs(vectors) ** 2 - 1.0 / dim)))
     checks.append(Check("su2", "shift matrix order 2j+1", _worst(shift_defect), 1e-10))
     checks.append(
         Check("su2", "shift spectrum = roots of unity", _worst(spectrum_defect), 1e-10)
@@ -170,30 +173,19 @@ def suite_pauli() -> list[Check]:
 
 def suite_gamma() -> list[Check]:
     checks = []
-    worst = _worst(coherent.hermitize_check(j / 2.0) for j in range(0, 31))
+    # each su(2) check runs on the direct sum over its range of 2j, one residual per spin;
+    # K's diagonal over 2j = 0..60 holds the blocks 2j = 0..30 first, 496 entries
+    k = coherent._diagonals(range(0, 61))
+    worst = _worst(coherent._hermitize_defects(range(0, 31), k[:496]))
     checks.append(Check("gamma", "intertwiner hermitizes, j <= 15", worst, 1e-9))
 
-    worst = _worst(coherent.s_recursion_check(j / 2.0) for j in range(1, 61))
+    worst = _worst(coherent._recursion_defects(range(1, 61), k[1:]))
     checks.append(Check("gamma", "binomial recursion, j <= 30", worst, 1e-12))
 
-    worst = _worst(
-        coherent._phase_part_defect(coherent.gamma_su2(j / 2.0)) for j in range(0, 21)
-    )
+    worst = _worst(coherent._phase_part_defects(coherent._coherent_set(2, range(0, 21))))
     checks.append(Check("gamma", "phase part equals cyclic shift, j <= 10", worst, 1e-15))
 
-    defects = []
-    for two_j in range(0, 31):
-        j = two_j / 2.0
-        g = coherent.gamma_su2(j)
-        # K is diagonal, so its commutator with A has entries (k_i - k_j) A_ij
-        k = coherent.intertwiner_diagonal(j)
-        occ = g.basis.occupations
-        h = Monomial(np.arange(two_j + 1), (occ[:, 0] - occ[:, 1]) / 2)
-        raising, lowering = g.ladder(1, 2), g.ladder(2, 1)
-        for other in (h, lowering @ raising, raising @ lowering):
-            scale = max(1.0, float(np.max(k)) * max(1.0, float(np.max(np.abs(other.vals)))))
-            defects.append(np.max(np.abs((k[other.rows] - k) * other.vals)) / scale)
-    worst = _worst(defects)
+    worst = _worst(coherent._commutant_defects(range(0, 31), k[:496]))
     checks.append(Check("gamma", "intertwiner commutants, j <= 15", worst, 1e-10))
 
     worst = coherent.gamma_su3_commutation_residual(coherent.gamma_su3(range(0, 5)))

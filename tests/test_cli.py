@@ -246,6 +246,16 @@ class TestSweep:
         )
         assert result.exit_code == 2
 
+    def test_two_modes_without_roots_name_the_default_pair(self, runner):
+        result = runner.invoke(main, ["sweep", "--n", "2", "--from", "1", "--to", "3"])
+        assert result.exit_code == 2
+        assert "the default root pair (1,2),(3,1) needs n >= 3, got n = 2" in result.output
+        assert "give --root twice" in result.output
+        assert "(3, 1)" not in result.output
+        given = ["--root", "1,2", "--root", "2,1"]
+        result = runner.invoke(main, ["sweep", "--n", "2", "--from", "1", "--to", "3"] + given)
+        assert result.exit_code == 0
+
     def test_thread_count_does_not_change_payload(self, runner):
         args = ["sweep", "--n", "3", "--from", "1", "--to", "6"]
         serial = payload(runner.invoke(main, args + ["--threads", "1"]))
@@ -537,28 +547,88 @@ class TestVerify:
     def test_unknown_suite(self, runner):
         assert runner.invoke(main, ["verify", "--suite", "nope"]).exit_code == 2
 
+    @staticmethod
+    def nan_block(honest, block):
+        """honest, a routine with one residual per block, with block's residual a NaN."""
+
+        def planted(*args):
+            residuals = honest(*args).copy()
+            residuals[block] = math.nan
+            return residuals
+
+        return planted
+
+    def nan_fails(self, runner, monkeypatch, module, name, plant, line):
+        monkeypatch.setattr(module, name, plant(getattr(module, name)))
+        result = runner.invoke(main, ["verify", "--suite", "all"])
+        assert result.exit_code == cli.EXIT_VERIFY_FAILED
+        failed = [row for row in result.output.splitlines() if not row.startswith("PASS ")]
+        assert failed == [line]
+
     @pytest.mark.parametrize(
-        "module, name, at, line",
+        "module, name, plant, line",
         [
             (
-                coherent, "hermitize_check", 1.0,
+                coherent, "_hermitize_defects", lambda honest: TestVerify.nan_block(honest, 2),
                 "FAIL [gamma] intertwiner hermitizes, j <= 15: residual nan (tol 1e-09)",
             ),
             (
-                phases, "d_identity_residual", 3,
+                phases, "d_identity_residual",
+                lambda honest: lambda lam: math.nan if lam == 3 else honest(lam),
                 "FAIL [su3] squared-D Cartan identities, lam <= 8: residual nan (tol 1e-12)",
             ),
         ],
         ids=["gamma", "su3"],
     )
-    def test_a_nan_residual_fails_its_check(self, runner, monkeypatch, module, name, at, line):
-        # one NaN among finite residuals, neither first nor last
-        honest = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda x: math.nan if x == at else honest(x))
-        result = runner.invoke(main, ["verify", "--suite", "all"])
-        assert result.exit_code == cli.EXIT_VERIFY_FAILED
-        failed = [row for row in result.output.splitlines() if not row.startswith("PASS ")]
-        assert failed == [line]
+    def test_a_nan_residual_fails_its_check(self, runner, monkeypatch, module, name, plant, line):
+        # one NaN among finite residuals, neither first nor last: at su(3) in the
+        # call for lambda = 3, at gamma in the block of 2j = 2 of the direct sum
+        self.nan_fails(runner, monkeypatch, module, name, plant, line)
+
+    @staticmethod
+    def nan_vector(honest, dim):
+        """honest `_fourier_vectors` with a NaN inside the array for dim."""
+
+        def planted(size):
+            vectors = honest(size)
+            if size == dim:
+                vectors[dim // 2, dim // 2] = math.nan
+            return vectors
+
+        return planted
+
+    @pytest.mark.parametrize(
+        "name, plant, line",
+        [
+            (
+                "_hermitize_defects", lambda honest: TestVerify.nan_block(honest, 15),
+                "FAIL [gamma] intertwiner hermitizes, j <= 15: residual nan (tol 1e-09)",
+            ),
+            (
+                "_recursion_defects", lambda honest: TestVerify.nan_block(honest, 30),
+                "FAIL [gamma] binomial recursion, j <= 30: residual nan (tol 1e-12)",
+            ),
+            (
+                "_phase_part_defects", lambda honest: TestVerify.nan_block(honest, 10),
+                "FAIL [gamma] phase part equals cyclic shift, j <= 10: residual nan (tol 1e-15)",
+            ),
+            (
+                "_commutant_defects", lambda honest: TestVerify.nan_block(honest, 15),
+                "FAIL [gamma] intertwiner commutants, j <= 15: residual nan (tol 1e-10)",
+            ),
+            (
+                "_fourier_vectors", lambda honest: TestVerify.nan_vector(honest, 11),
+                "FAIL [su2] Fourier eigenvectors unbiased: residual nan (tol 1e-10)",
+            ),
+        ],
+        ids=["hermitize", "recursion", "phase part", "commutants", "fourier"],
+    )
+    def test_a_nan_in_a_middle_block_fails_its_direct_sum_check(
+        self, runner, monkeypatch, name, plant, line
+    ):
+        # each su(2) check gives one residual per spin; a NaN in the middle one must
+        # survive the max and fail that check alone
+        self.nan_fails(runner, monkeypatch, coherent, name, plant, line)
 
 
 class TestDeterminism:

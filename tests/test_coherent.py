@@ -120,6 +120,52 @@ class TestAgainstTheDenseOracles:
         assert "states" not in coherent.gamma_su3(4).basis.__dict__
 
 
+class TestDirectSums:
+    """Each su(2) check runs on the two-mode direct sum over a range of 2j and gives
+    one residual per spin: entry t must be, bit for bit, that spin run alone."""
+
+    # ranges as verify runs them, and one past 2j = 110, where the binomials are cut
+    RANGES = [range(0, 31), range(1, 61), range(0, 21), range(100, 131)]
+
+    @pytest.mark.parametrize("two_js", RANGES, ids=str)
+    def test_the_diagonal_of_a_sum_is_the_blocks_in_order(self, two_js):
+        want = np.concatenate([coherent.intertwiner_diagonal(t / 2) for t in two_js])
+        assert np.array_equal(coherent._diagonals(two_js).view(np.uint64), want.view(np.uint64))
+
+    def test_a_sum_past_the_largest_finite_spin_is_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            coherent._diagonals(range(2050, 2055))
+
+    @pytest.mark.parametrize("two_js", RANGES, ids=str)
+    @pytest.mark.parametrize(
+        "name", ["_hermitize_defects", "_recursion_defects", "_commutant_defects"]
+    )
+    def test_each_block_is_its_spin_alone(self, name, two_js):
+        routine = getattr(coherent, name)
+        got = routine(two_js, coherent._diagonals(two_js))
+        want = [routine(range(t, t + 1), coherent.intertwiner_diagonal(t / 2))[0] for t in two_js]
+        assert got.shape == (len(two_js),)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("two_js", RANGES, ids=str)
+    def test_each_phase_part_block_is_its_spin_alone(self, two_js):
+        got = coherent._phase_part_defects(coherent._coherent_set(2, two_js))
+        want = [coherent._phase_part_defect(coherent.gamma_su2(t / 2)) for t in two_js]
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_the_recursion_pairs_no_entries_of_two_blocks(self):
+        # K's last entry of one spin against the first of the next is no recursion step:
+        # paired, 2j = 0 and 2j = 1 would read a defect of 2
+        got = coherent._recursion_defects(range(0, 2), coherent._diagonals(range(0, 2)))
+        assert got.tolist() == [0.0, 0.0]
+
+    def test_a_nan_entry_reads_nan_for_its_block_alone(self):
+        k = coherent._diagonals(range(0, 31))
+        k[200] = math.nan  # inside the block of 2j = 19, entries 190..209
+        got = coherent._commutant_defects(range(0, 31), k)
+        assert np.isnan(got[19]) and np.isfinite(np.delete(got, 19)).all()
+
+
 class TestGammaSu2:
     def test_spin_one_action(self):
         g = coherent.gamma_su2(1)

@@ -239,10 +239,10 @@ def test_gamma_lambda_scatters_no_dense_matrix(monkeypatch):
 
 def test_gamma_j_builds_no_dense_matrix(monkeypatch):
     built = []
-    for name in ("gamma_su2", "su2_matrices"):
+    for name in ("_generator_set", "build_generators"):
 
-        def spy(j, build=getattr(coherent, name)):
-            built.append(build(j))
+        def spy(*args, build=getattr(coherent, name)):
+            built.append(build(*args))
             return built[-1]
 
         monkeypatch.setattr(coherent, name, spy)
@@ -250,7 +250,8 @@ def test_gamma_j_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(Monomial, "dense", refuse_scatter)
     result = CliRunner().invoke(main, ["gamma", "--j", "7.5"])
     assert result.exit_code == 0, result.output
-    assert len(built) == 3  # gamma_su2 for the payload and the check, su2_matrices for the check
+    # the coherent set for the payload and for the check, the Hermitian one for the check
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("n,lam", [(2, 6), (3, 4), (4, 5), (5, 3), (6, 2)])
